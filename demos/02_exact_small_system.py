@@ -35,7 +35,6 @@ exact = transient_distribution(build_generator(spec),
 result = run_ensemble(
     EnsembleSpec(spec, replicas=replicas, master_seed=11,
                  snapshot_times=(t,)),
-    threads=2,
 )
 freq = result.state_counts(0) / replicas
 

@@ -44,7 +44,6 @@ for n in (64, 256, 1024):
     spec = ModelSpec(lam=lam, psi=psi, phi=phi, N=n, T=t)
     res = run_ensemble(
         EnsembleSpec(spec, replicas=100, master_seed=5, snapshot_times=(t,)),
-        threads=2,
     )
     one = ScalarField.constant(1.0)
     err = np.mean(np.abs(res.mu(one, 0) - target))

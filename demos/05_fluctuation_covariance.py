@@ -46,7 +46,6 @@ for t in (0.0, 0.5, 1.0):
 # Monte Carlo check at N=1000: sample the centered fields directly.
 res = run_ensemble(
     EnsembleSpec(spec, replicas=400, master_seed=31, snapshot_times=(1.0,)),
-    threads=2,
 )
 eta = res.eta(f, 0)
 beta = res.beta(f, 0)

@@ -59,7 +59,7 @@ for argv in (
     ["simulate", "--config", str(cfg), "--out", str(root / "sim")],
     ["solve", "--config", str(cfg), "--out", str(root / "ode")],
     ["validate", "oracle", "--config", str(cfg),
-     "--out", str(root / "check"), "--threads", "2"],
+     "--out", str(root / "check")],
 ):
     print(f"$ urnsir {' '.join(argv)}")
     code = main(argv)

@@ -27,7 +27,6 @@ from .gillespie import (
     Simulation,
     Trajectory,
     event_rates,
-    gillespie_step,
     infection_pressure,
     replay,
     simulate,

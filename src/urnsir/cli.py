@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="master seed (overrides [ensemble] master_seed)")
         p.add_argument("--replicas", type=int, default=None,
                        help="replica count override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread count")
 
     common(sub.add_parser("simulate", help="one trajectory to NDJSON/CSV"))
     common(sub.add_parser("solve", help="density ODE to CSV"))
@@ -153,7 +151,6 @@ def _cmd_homogeneous(cfg: RunConfig, args) -> int:
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
     seed = _require_seed(cfg, args.seed)
-    threads = args.threads if args.threads is not None else cfg.threads
     out = _out_dir(args)
     v = cfg.validate_value
     model = cfg.model
@@ -163,25 +160,25 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         replicas = args.replicas or v("lln_replicas")
         reports.append(lln_report(
             model, seed, ns=tuple(v("lln_ns")), t=v("lln_t"),
-            replicas=replicas, slope_tol=v("lln_slope_tol"), threads=threads,
+            replicas=replicas, slope_tol=v("lln_slope_tol"),
         ))
     elif kind == "cov":
         replicas = args.replicas or v("cov_replicas")
         reports.append(covariance_decay_report(
             model, seed, ns=tuple(v("cov_ns")), t=v("cov_t"),
-            replicas=replicas, pairs_per_n=v("cov_pairs"), threads=threads,
+            replicas=replicas, pairs_per_n=v("cov_pairs"),
         ))
         anchor_n = v("cov_anchor_n")
         reports.append(covariance_anchor_report(
             model.with_n(anchor_n), seed, t=v("cov_t"),
-            replicas=replicas, threads=threads,
+            replicas=replicas,
         ))
     elif kind == "clt":
         replicas = args.replicas or v("clt_replicas")
         reports.append(clt_report(
             model, seed, t=v("clt_t"), replicas=replicas,
             m_grid=v("clt_m"), dt=v("clt_dt"), rel_tol=v("clt_rel_tol"),
-            ks_threshold=v("clt_ks_p"), threads=threads,
+            ks_threshold=v("clt_ks_p"),
         ))
     elif kind == "dynkin":
         replicas = args.replicas or v("dynkin_replicas")
@@ -189,13 +186,12 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
             model, seed, t=v("dynkin_t"), replicas=replicas,
             dt_report=v("dynkin_dt_report"),
             var_band=(v("dynkin_var_lo"), v("dynkin_var_hi")),
-            threads=threads,
         ))
     else:
         replicas = args.replicas or v("oracle_replicas")
         reports.append(oracle_report(
             model, seed, times=tuple(v("oracle_times")), replicas=replicas,
-            min_fraction=v("oracle_min_fraction"), threads=threads,
+            min_fraction=v("oracle_min_fraction"),
         ))
     _echo(cfg, seed)
     ok = True

@@ -10,11 +10,12 @@ Schema (all decimals, lists comma-separated):
     [psi]      form = constant | affine | table; values
     [phi]      form = constant | affine | table; values
     [grid]     M, dt                      (solvers; defaults 32, 1e-3)
-    [ensemble] replicas, master_seed, snapshot_times, threads
+    [ensemble] replicas, master_seed, snapshot_times
     [validate] per-report thresholds, all optional (defaults below)
 
-Only [model], [lambda], [psi], [phi] are required.  Any parse or
-validation problem raises ConfigError; the CLI maps that to exit code 2.
+Only [model], [lambda], [psi], [phi] are required; [grid], [ensemble]
+and [validate] reject keys not listed here.  Any parse or validation
+problem raises ConfigError; the CLI maps that to exit code 2.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class RunConfig:
     replicas: int = 100
     master_seed: int | None = None
     snapshot_times: tuple = ()
-    threads: int = 1
     validate: dict = field(default_factory=dict)
 
     def validate_value(self, key: str):
@@ -164,6 +164,13 @@ _VALIDATE_INT_KEYS = {
 _VALIDATE_TUPLE_KEYS = {"lln_ns", "cov_ns", "oracle_times"}
 
 
+def _reject_unknown(section, name: str, known) -> None:
+    # configparser lower-cases key names
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"[{name}]: unknown key {key!r}")
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -195,6 +202,7 @@ def load_config(path) -> RunConfig:
     kwargs: dict = {"model": model}
     if "grid" in parser:
         grid = parser["grid"]
+        _reject_unknown(grid, "grid", ("m", "dt"))
         try:
             if "M" in grid:
                 kwargs["grid_m"] = int(grid["M"])
@@ -204,13 +212,14 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"[grid]: {exc}") from exc
     if "ensemble" in parser:
         ens = parser["ensemble"]
+        _reject_unknown(
+            ens, "ensemble", ("replicas", "master_seed", "snapshot_times")
+        )
         try:
             if "replicas" in ens:
                 kwargs["replicas"] = int(ens["replicas"])
             if "master_seed" in ens:
                 kwargs["master_seed"] = int(ens["master_seed"])
-            if "threads" in ens:
-                kwargs["threads"] = int(ens["threads"])
         except ValueError as exc:
             raise ConfigError(f"[ensemble]: {exc}") from exc
         if "snapshot_times" in ens:
@@ -219,9 +228,8 @@ def load_config(path) -> RunConfig:
             )
     if "validate" in parser:
         out: dict = {}
+        _reject_unknown(parser["validate"], "validate", VALIDATE_DEFAULTS)
         for key, raw in parser["validate"].items():
-            if key not in VALIDATE_DEFAULTS:
-                raise ConfigError(f"[validate]: unknown key {key!r}")
             if key in _VALIDATE_TUPLE_KEYS:
                 out[key] = (
                     _ints(raw, key) if key != "oracle_times"

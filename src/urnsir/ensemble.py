@@ -1,15 +1,12 @@
 """Replica ensembles with reproducible per-replica streams.
 
 A run is fully determined by (spec, master_seed).  Replica r simulates
-with seed ``replica_seed(master_seed, r)``, so results do not depend on
-thread count or completion order; workers write into disjoint
-preallocated slots and every reduction happens afterwards in replica
-order.
+with seed ``replica_seed(master_seed, r)`` and writes its own
+preallocated slot; every reduction happens afterwards in replica order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +44,6 @@ class EnsembleSpec:
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be nondecreasing")
         object.__setattr__(self, "snapshot_times", times)
-
-
-def _parallel_fill(out: np.ndarray, work, replicas: int, threads: int) -> None:
-    # disjoint writes per replica; thread count cannot change the result
-    if threads <= 1:
-        for r in range(replicas):
-            out[r] = work(r)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for r, arr in zip(range(replicas), pool.map(work, range(replicas))):
-            out[r] = arr
 
 
 @dataclass(frozen=True)
@@ -139,22 +125,18 @@ class EnsembleResult:
         return np.bincount(self.state_codes(k), minlength=3 ** n)
 
 
-def run_ensemble(ens: EnsembleSpec, threads: int = 1) -> EnsembleResult:
+def run_ensemble(ens: EnsembleSpec) -> EnsembleResult:
     """Simulate all replicas; deterministic given the master seed."""
     model = ens.model
     times = ens.snapshot_times
     out = np.empty((ens.replicas, len(times), model.N), dtype=np.int8)
-
-    def work(r: int) -> np.ndarray:
-        return snapshot_states(model, replica_seed(ens.master_seed, r), times)
-
-    _parallel_fill(out, work, ens.replicas, threads)
+    for r in range(ens.replicas):
+        out[r] = snapshot_states(model, replica_seed(ens.master_seed, r), times)
     return EnsembleResult(spec=ens, states=out)
 
 
 def run_clock_ensemble(
     model: ModelSpec, master_seed: int, replicas: int, t: float,
-    threads: int = 1,
 ) -> np.ndarray:
     """States at time t from the clock construction, one row per replica.
 
@@ -164,14 +146,9 @@ def run_clock_ensemble(
     if not 0.0 <= t <= model.T:
         raise ValueError("t outside [0, T]")
     out = np.empty((replicas, model.N), dtype=np.int8)
-
-    def work(r: int) -> np.ndarray:
+    for r in range(replicas):
         clocks = ClockTable(model, replica_seed(master_seed, r))
         initial = clocks.initial_states(bank=1)
-        row = np.empty(model.N, dtype=np.int8)
         for m in range(1, model.N + 1):
-            row[m - 1] = state_from_clocks(clocks, initial, m, t)
-        return row
-
-    _parallel_fill(out, work, replicas, threads)
+            out[r, m - 1] = state_from_clocks(clocks, initial, m, t)
     return out

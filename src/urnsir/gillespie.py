@@ -38,7 +38,6 @@ __all__ = [
     "infection_pressure",
     "event_rates",
     "Simulation",
-    "gillespie_step",
     "simulate",
     "snapshot_states",
     "replay",
@@ -273,11 +272,6 @@ class Simulation:
         return Configuration(states=self.states.copy(), time=self.time)
 
 
-def gillespie_step(sim: Simulation):
-    """One transition of ``sim``; None when no further event can occur."""
-    return sim.step()
-
-
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
     if times.size and (times[0] < 0.0 or times[-1] > spec.T + 1e-12):
@@ -349,30 +343,27 @@ def snapshot_states(spec: ModelSpec, seed: int, times) -> np.ndarray:
 
     Same engine and draw order as :func:`simulate`, so rows agree with the
     trajectory snapshots bit for bit; used by ensemble runs where event
-    logs would dominate memory.
+    logs would dominate memory.  Stepping stops once the last row is
+    filled, so a snapshot at t < T does not pay for the rest of [0, T].
     """
     times = _check_snapshot_times(spec, times)
     sim = Simulation(spec, seed)
     out = np.empty((times.size, spec.N), dtype=np.int8)
     k = 0
-    while True:
+    while k < times.size:
         nxt = sim.step()
         if nxt is None:
             break
         t, kind, idx, _ = nxt
         if t > spec.T:
-            if k < times.size:
-                out[k:] = _pre_event_states(sim, kind, idx)
-                k = times.size
+            out[k:] = _pre_event_states(sim, kind, idx)
             return out
-        if k < times.size and times[k] < t:
+        if times[k] < t:
             pre = _pre_event_states(sim, kind, idx)
             while k < times.size and times[k] < t:
                 out[k] = pre
                 k += 1
-    while k < times.size:
-        out[k] = sim.states
-        k += 1
+    out[k:] = sim.states
     return out
 
 

@@ -3,8 +3,7 @@
 Each report runs a reproducible ensemble, compares an empirical statistic
 against an independent target (ODE solution, Lyapunov covariance, exact
 small-N distribution, or an internal identity), and returns a ``Report``
-whose records regenerate bit-identically from (spec, master_seed)
-regardless of thread count.
+whose records regenerate bit-identically from (spec, master_seed).
 
 Statistical conventions used throughout:
   - fluctuation fields are centered at ensemble means (exact location for
@@ -18,7 +17,6 @@ Statistical conventions used throughout:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 
 import csv
@@ -111,7 +109,6 @@ def lln_report(
     replicas: int = 200,
     dt: float = 1e-3,
     slope_tol: float = 0.2,
-    threads: int = 1,
 ) -> Report:
     """RMS error of mu_t^N(f) against the density node sum over an N ladder.
 
@@ -133,7 +130,7 @@ def lln_report(
             model=spec_n, replicas=replicas, master_seed=master_seed,
             snapshot_times=(t,),
         )
-        err = np.abs(run_ensemble(ens, threads=threads).mu(f, 0) - target)
+        err = np.abs(run_ensemble(ens).mu(f, 0) - target)
         r = float(np.sqrt(np.mean(err**2)))
         rms.append(r)
         se = r / math.sqrt(2.0 * replicas) if r else 0.0
@@ -199,7 +196,6 @@ def covariance_decay_report(
     t: float = 1.0,
     replicas: int = 10_000,
     pairs_per_n: int = 150,
-    threads: int = 1,
 ) -> Report:
     """N times mean |Cov| of infected indicators over sampled pairs.
 
@@ -221,7 +217,7 @@ def covariance_decay_report(
             model=spec_n, replicas=replicas, master_seed=master_seed,
             snapshot_times=(t,),
         )
-        ind = run_ensemble(ens, threads=threads).indicator(INFECTED, 0)
+        ind = run_ensemble(ens).indicator(INFECTED, 0)
         rng = derive_rng(master_seed, DOMAIN_SAMPLING, int(n))
         pairs = _sample_pairs(rng, int(n), pairs_per_n)
         cov, se = _pair_covariances(ind, pairs)
@@ -263,7 +259,6 @@ def covariance_anchor_report(
     *,
     t: float = 1.0,
     replicas: int = 10_000,
-    threads: int = 1,
 ) -> Report:
     """Monte Carlo pair covariances vs exact values at small N.
 
@@ -277,7 +272,7 @@ def covariance_anchor_report(
         model=model, replicas=replicas, master_seed=master_seed,
         snapshot_times=(t,),
     )
-    ind = run_ensemble(ens, threads=threads).indicator(INFECTED, 0)
+    ind = run_ensemble(ens).indicator(INFECTED, 0)
     pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
     cov, se = _pair_covariances(ind, pairs)
     exact_records = moment_report(
@@ -318,7 +313,6 @@ def clt_report(
     dt: float = 1e-3,
     rel_tol: float = 0.10,
     ks_threshold: float = 0.01,
-    threads: int = 1,
 ) -> Report:
     """Empirical (eta, beta) moments against the Lyapunov covariance.
 
@@ -345,7 +339,7 @@ def clt_report(
         model=model, replicas=replicas, master_seed=master_seed,
         snapshot_times=(0.0, t),
     )
-    result = run_ensemble(ens, threads=threads)
+    result = run_ensemble(ens)
     eta = result.eta(f, 1)
     beta = result.beta(g, 1)
     eta0 = result.eta(f, 0)
@@ -492,7 +486,6 @@ def dynkin_report(
     replicas: int = 500,
     dt_report: float = 0.01,
     var_band: tuple = (0.85, 1.15),
-    threads: int = 1,
 ) -> Report:
     """Martingale residual of beta_t(f) and its quadratic variation.
 
@@ -522,24 +515,11 @@ def dynkin_report(
     qv = np.empty(replicas)
     sp_sum = np.zeros((grid.size, n))
 
-    def work(r: int):
-        return _dynkin_walk(
+    for r in range(replicas):
+        raw0[r], rawt[r], lint[r], qv[r], sp = _dynkin_walk(
             spec_t, replica_seed(master_seed, r), t, fv, grid, lam_site, lam0
         )
-
-    if threads <= 1:
-        for r in range(replicas):
-            raw0[r], rawt[r], lint[r], qv[r], sp = work(r)
-            sp_sum += sp
-    else:
-        # consume in submission order so the accumulation is bit-stable
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            block = 8 * threads
-            for start in range(0, replicas, block):
-                rs = range(start, min(start + block, replicas))
-                for r, out in zip(rs, pool.map(work, rs)):
-                    raw0[r], rawt[r], lint[r], qv[r], sp = out
-                    sp_sum += sp
+        sp_sum += sp
 
     g_mean = sp_sum / replicas
     delta = _trapezoid(g_mean @ fv / math.sqrt(n), grid)
@@ -593,7 +573,6 @@ def oracle_report(
     times: tuple = (0.5, 1.0),
     replicas: int = 100_000,
     min_fraction: float = 0.99,
-    threads: int = 1,
 ) -> Report:
     """Joint state frequencies vs uniformization, 3-sigma multinomial bands.
 
@@ -606,7 +585,7 @@ def oracle_report(
         model=model, replicas=replicas, master_seed=master_seed,
         snapshot_times=tuple(times),
     )
-    result = run_ensemble(ens, threads=threads)
+    result = run_ensemble(ens)
     records: list[ReportRecord] = []
     lines: list[str] = []
     in_band = 0
@@ -646,7 +625,6 @@ def construction_report(
     *,
     t: float = 1.0,
     replicas: int = 100_000,
-    threads: int = 1,
 ) -> Report:
     """Clock-construction vs jump-chain per-urn marginals, 3-sigma bands.
 
@@ -657,10 +635,8 @@ def construction_report(
         model=model, replicas=replicas, master_seed=master_seed,
         snapshot_times=(t,),
     )
-    sim_states = run_ensemble(ens, threads=threads).states[:, 0, :]
-    clock_states = run_clock_ensemble(
-        model, master_seed, replicas, t, threads=threads
-    )
+    sim_states = run_ensemble(ens).states[:, 0, :]
+    clock_states = run_clock_ensemble(model, master_seed, replicas, t)
     records: list[ReportRecord] = []
     lines: list[str] = []
     ok = True

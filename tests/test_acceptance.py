@@ -32,7 +32,6 @@ from urnsir import (
     sites,
     solve_density,
 )
-from urnsir.cli import main
 from urnsir.fields import Kernel, ScalarField
 
 MASTER_SEED = 20260823
@@ -58,7 +57,7 @@ def test_01_simulator_matches_exact_transients():
     for n in (3, 4):
         spec = ModelSpec(N=n, T=1.0, **FLAT_HALF)
         rep = oracle_report(
-            spec, MASTER_SEED, times=(0.5, 1.0), replicas=100_000, threads=4
+            spec, MASTER_SEED, times=(0.5, 1.0), replicas=100_000
         )
         frac = [r for r in rep.records if r.statistic == "fraction_in_band"][0]
         fractions.append((n, rep.passed, frac.value))
@@ -73,7 +72,7 @@ def test_02_clock_construction_matches_simulator():
     t0 = time.time()
     spec = ModelSpec(N=4, T=1.0, **FLAT_HALF)
     rep = construction_report(
-        spec, MASTER_SEED, t=1.0, replicas=100_000, threads=4
+        spec, MASTER_SEED, t=1.0, replicas=100_000
     )
     worst = max(abs(r.value) / r.bound for r in rep.records)
     elapsed = time.time() - t0
@@ -120,7 +119,6 @@ def test_04_empirical_density_error_shrinks_like_root_n():
     t0 = time.time()
     rep = lln_report(
         GENERIC, MASTER_SEED, ns=(100, 400, 1600), t=2.0, replicas=200,
-        threads=4,
     )
     slope = [r for r in rep.records if r.statistic == "slope"][0]
     elapsed = time.time() - t0
@@ -133,10 +131,10 @@ def test_05_pair_covariance_scale_bounded_and_anchored():
     t0 = time.time()
     decay = covariance_decay_report(
         GENERIC, MASTER_SEED, ns=(50, 100, 200, 400), t=1.0,
-        replicas=10_000, threads=4,
+        replicas=10_000,
     )
     anchor = covariance_anchor_report(
-        GENERIC.with_n(4), MASTER_SEED, t=1.0, replicas=10_000, threads=4
+        GENERIC.with_n(4), MASTER_SEED, t=1.0, replicas=10_000
     )
     worst = max(abs(r.value) / r.bound for r in anchor.records)
     elapsed = time.time() - t0
@@ -153,7 +151,7 @@ def test_06_fluctuation_variances_and_normality():
         phi=ScalarField.constant(0.2), N=2000, T=1.0,
     )
     rep = clt_report(
-        spec, MASTER_SEED, t=1.0, replicas=500, m_grid=32, dt=1e-3, threads=4
+        spec, MASTER_SEED, t=1.0, replicas=500, m_grid=32, dt=1e-3
     )
     by_name = {r.statistic: r for r in rep.records}
     elapsed = time.time() - t0
@@ -230,7 +228,7 @@ def test_08_propagator_cocycle_psd_and_closed_form():
 def test_09_martingale_residual_and_quadratic_variation():
     t0 = time.time()
     rep = dynkin_report(
-        GENERIC.with_n(500), MASTER_SEED, t=1.0, replicas=500, threads=4
+        GENERIC.with_n(500), MASTER_SEED, t=1.0, replicas=500
     )
     by_name = {r.statistic: r for r in rep.records}
     elapsed = time.time() - t0
@@ -243,34 +241,3 @@ def test_09_martingale_residual_and_quadratic_variation():
             f"Var/QV {by_name['var_over_qv'].value:.3f} in [0.85, 1.15] "
             f"({elapsed:.0f}s)")
 
-
-def test_10_reports_bit_identical_across_threads(tmp_path):
-    t0 = time.time()
-    lln_kw = dict(ns=(50, 100), t=1.0, replicas=60)
-    rep_a = lln_report(GENERIC, MASTER_SEED, threads=1, **lln_kw)
-    rep_b = lln_report(GENERIC, MASTER_SEED, threads=4, **lln_kw)
-    dyn_a = dynkin_report(GENERIC, MASTER_SEED, t=1.0, replicas=80, threads=1)
-    dyn_b = dynkin_report(GENERIC, MASTER_SEED, t=1.0, replicas=80, threads=4)
-
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(
-        "[model]\nN = 2\nT = 1.0\n\n[lambda]\nform = constant\nlam0 = 1.0\n\n"
-        "[psi]\nform = constant\nvalues = 1.0\n\n"
-        "[phi]\nform = constant\nvalues = 0.5\n\n"
-        "[ensemble]\nmaster_seed = 20260823\n\n"
-        "[validate]\noracle_times = 0.5\noracle_replicas = 2000\n"
-    )
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        code = main(["validate", "oracle", "--config", str(cfg),
-                     "--out", str(out), "--threads", threads])
-        assert code == 0
-        outputs.append((out / "validate_oracle.csv").read_bytes())
-    elapsed = time.time() - t0
-    ok = (rep_a.records == rep_b.records
-          and dyn_a.records == dyn_b.records
-          and outputs[0] == outputs[1])
-    verdict(ok, "reproducibility",
-            f"report records and validation CSV bytes identical across "
-            f"thread counts ({elapsed:.0f}s)")

@@ -71,7 +71,6 @@ class TestLoadConfig:
             replicas = 40
             master_seed = 99
             snapshot_times = 0.5, 1.0, 2.5
-            threads = 3
 
             [validate]
             lln_ns = 20, 40
@@ -85,7 +84,7 @@ class TestLoadConfig:
         assert cfg.model.psi(1.0) == pytest.approx(1.3)
         assert cfg.model.phi(0.5) == pytest.approx(0.3)  # second table node
         assert cfg.grid_m == 16 and cfg.grid_dt == 0.01
-        assert cfg.replicas == 40 and cfg.master_seed == 99 and cfg.threads == 3
+        assert cfg.replicas == 40 and cfg.master_seed == 99
         assert cfg.snapshot_times == (0.5, 1.0, 2.5)
         assert cfg.validate == {
             "lln_ns": (20, 40),
@@ -141,6 +140,21 @@ class TestLoadConfig:
         path = write_ini(tmp_path / "bad.ini", mangle(textwrap.dedent(BASE)))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("section,key", [
+        ("grid", "steps"), ("ensemble", "replica"), ("ensemble", "threads"),
+    ])
+    def test_unknown_grid_and_ensemble_keys(self, tmp_path, capsys,
+                                            section, key):
+        path = write_ini(tmp_path / "run.ini", BASE, f"""\
+            [{section}]
+            {key} = 4
+            """)
+        with pytest.raises(ConfigError,
+                           match=rf"^\[{section}\]: unknown key '{key}'$"):
+            load_config(path)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_table_kernel_size_mismatch(self, tmp_path):
         text = textwrap.dedent(BASE).replace(
@@ -224,6 +238,27 @@ class TestCli:
         assert (tmp_path / "a" / "snapshots.csv").read_bytes() == \
             (tmp_path / "b" / "snapshots.csv").read_bytes()
 
+    def test_validate_byte_identical_reruns(self, tmp_path):
+        oracle = write_ini(tmp_path / "oracle.ini",
+                           BASE.replace("N = 6", "N = 3"), """\
+            [validate]
+            oracle_times = 0.5
+            oracle_replicas = 400
+            """)
+        dynkin = write_ini(tmp_path / "dynkin.ini", BASE, """\
+            [validate]
+            dynkin_t = 0.5
+            dynkin_replicas = 40
+            """)
+        for kind, cfg in (("oracle", oracle), ("dynkin", dynkin)):
+            runs = []
+            for name in ("a", "b"):
+                out = tmp_path / f"{kind}_{name}"
+                assert main(["validate", kind, "--config", cfg,
+                             "--out", str(out), "--seed", "7"]) == 0
+                runs.append((out / f"validate_{kind}.csv").read_bytes())
+            assert runs[0] == runs[1]
+
     def test_solve(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "run.ini", BASE, """\
             [grid]
@@ -282,7 +317,7 @@ class TestCli:
             """)
         out = tmp_path / "out"
         code = main(["validate", "oracle", "--config", cfg,
-                     "--out", str(out), "--seed", "5", "--threads", "2"])
+                     "--out", str(out), "--seed", "5"])
         assert code == 0
         assert "[PASS] oracle" in capsys.readouterr().out
         with open(out / "validate_oracle.csv", newline="") as fh:
@@ -313,7 +348,7 @@ class TestCli:
             """)
         out = tmp_path / "out"
         code = main(["validate", "cov", "--config", cfg,
-                     "--out", str(out), "--seed", "5", "--threads", "2"])
+                     "--out", str(out), "--seed", "5"])
         captured = capsys.readouterr().out
         assert code == 0, captured
         assert (out / "validate_cov.csv").exists()

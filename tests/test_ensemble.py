@@ -68,18 +68,6 @@ class TestDeterminism:
         b = run_ensemble(ens)
         np.testing.assert_array_equal(a.states, b.states)
 
-    def test_thread_count_invariant(self):
-        ens = small_ensemble(replicas=60)
-        serial = run_ensemble(ens, threads=1)
-        threaded = run_ensemble(ens, threads=4)
-        np.testing.assert_array_equal(serial.states, threaded.states)
-
-    def test_clock_ensemble_thread_count_invariant(self):
-        model = flat_spec(n=12)
-        a = run_clock_ensemble(model, 7, 50, 0.8, threads=1)
-        b = run_clock_ensemble(model, 7, 50, 0.8, threads=3)
-        np.testing.assert_array_equal(a, b)
-
     def test_replicas_match_individual_runs(self):
         ens = small_ensemble(replicas=5)
         result = run_ensemble(ens)
@@ -164,7 +152,7 @@ class TestLaws:
         ens = EnsembleSpec(
             model=spec, replicas=100, master_seed=11, snapshot_times=(1.0,)
         )
-        result = run_ensemble(ens, threads=4)
+        result = run_ensemble(ens)
         frac = result.mu(ONE, 0).mean()
         p = np.exp(-1.0)
         se = np.sqrt(p * (1 - p) / (100 * 10_000))
@@ -179,9 +167,8 @@ class TestLaws:
                 model=model, replicas=reps, master_seed=21,
                 snapshot_times=(0.8,),
             ),
-            threads=4,
         )
-        clock = run_clock_ensemble(model, 22, reps, 0.8, threads=4)
+        clock = run_clock_ensemble(model, 22, reps, 0.8)
         for which in (-1, 0, 1):
             p_sim = (sim.states[:, 0, :] == which).mean(axis=0)
             p_clk = (clock == which).mean(axis=0)

@@ -221,6 +221,27 @@ class TestSnapshots:
         for k, snap in enumerate(traj.snapshots):
             np.testing.assert_array_equal(rows[k], snap.states)
 
+    @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
+    def test_snapshot_states_stops_after_last_row(self, spec, monkeypatch):
+        t = 0.4
+        traj = simulate(spec, 44)
+        before = sum(ev.time <= t for ev in traj.events)
+        assert len(traj.events) > before + 1
+        calls = []
+        step = Simulation.step
+
+        def counted(sim):
+            calls.append(None)
+            return step(sim)
+
+        monkeypatch.setattr(Simulation, "step", counted)
+        rows = snapshot_states(spec, 44, (t,))
+        assert len(calls) <= 1 + before
+        np.testing.assert_array_equal(rows[0], replay(traj, (t,))[0].states)
+        calls.clear()
+        assert snapshot_states(spec, 44, ()).shape == (0, spec.N)
+        assert not calls
+
     def test_snapshot_time_validation(self):
         spec = uniform_spec(T=1.0)
         with pytest.raises(ValueError):

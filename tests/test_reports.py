@@ -46,7 +46,7 @@ def no_infection(n=30):
 class TestLln:
     def test_slope_near_minus_half(self):
         rep = lln_report(
-            flat(), SEED, ns=(50, 100, 200), t=1.0, replicas=150, threads=2
+            flat(), SEED, ns=(50, 100, 200), t=1.0, replicas=150
         )
         assert rep.passed
         slope = [r for r in rep.records if r.statistic == "slope"][0]
@@ -64,18 +64,12 @@ class TestLln:
         with pytest.raises(ValueError):
             lln_report(flat(T=1.0), SEED, t=1.5)
 
-    def test_thread_count_does_not_change_records(self):
-        kw = dict(ns=(30, 60), t=0.5, replicas=40)
-        a = lln_report(flat(), SEED, threads=1, **kw)
-        b = lln_report(flat(), SEED, threads=3, **kw)
-        assert a.records == b.records
-
 
 class TestCovarianceDecay:
     def test_excess_stays_bounded(self):
         rep = covariance_decay_report(
             flat(), SEED, ns=(20, 40, 80), t=0.5, replicas=2000,
-            pairs_per_n=60, threads=2,
+            pairs_per_n=60,
         )
         assert rep.passed
         stats_per_n = {r.statistic for r in rep.records}
@@ -87,7 +81,7 @@ class TestCovarianceDecay:
 
     def test_anchor_all_pairs_in_band(self):
         rep = covariance_anchor_report(
-            flat(n=3), SEED, t=0.5, replicas=4000, threads=2
+            flat(n=3), SEED, t=0.5, replicas=4000
         )
         assert rep.passed
         assert len(rep.records) == 3  # pairs (1,2), (1,3), (2,3)
@@ -99,7 +93,7 @@ class TestClt:
     def test_variances_and_normality(self):
         rep = clt_report(
             flat(n=400), SEED, t=0.5, replicas=250, m_grid=16,
-            rel_tol=0.15, threads=2,
+            rel_tol=0.15,
         )
         assert rep.passed
         by_name = {r.statistic: r for r in rep.records}
@@ -121,7 +115,7 @@ class TestClt:
 
 class TestDynkin:
     def test_variance_matches_quadratic_variation(self):
-        rep = dynkin_report(flat(n=150), SEED, t=0.5, replicas=200, threads=2)
+        rep = dynkin_report(flat(n=150), SEED, t=0.5, replicas=200)
         assert rep.passed
         by_name = {r.statistic: r for r in rep.records}
         assert 0.85 <= by_name["var_over_qv"].value <= 1.15
@@ -133,16 +127,11 @@ class TestDynkin:
         assert rep.passed
         assert rep.records[0].statistic == "degenerate"
 
-    def test_thread_count_does_not_change_records(self):
-        a = dynkin_report(flat(n=60), SEED, t=0.5, replicas=60, threads=1)
-        b = dynkin_report(flat(n=60), SEED, t=0.5, replicas=60, threads=3)
-        assert a.records == b.records
-
 
 class TestOracleAndConstruction:
     def test_frequencies_match_exact_chain(self):
         rep = oracle_report(
-            flat(n=3, T=1.0), SEED, times=(0.5,), replicas=20_000, threads=2
+            flat(n=3, T=1.0), SEED, times=(0.5,), replicas=20_000
         )
         assert rep.passed
         frac = [r for r in rep.records if r.statistic == "fraction_in_band"][0]
@@ -160,7 +149,7 @@ class TestOracleAndConstruction:
 
     def test_construction_marginals_agree(self):
         rep = construction_report(
-            flat(n=3, T=1.0), SEED, t=0.5, replicas=8000, threads=2
+            flat(n=3, T=1.0), SEED, t=0.5, replicas=8000
         )
         assert rep.passed
         assert len(rep.records) == 3 * 3
