@@ -10,7 +10,7 @@ Schema (all decimals, lists comma-separated):
     [psi]      form = constant | affine | table; values
     [phi]      form = constant | affine | table; values
     [grid]     M, dt                      (solvers; defaults 32, 1e-3)
-    [ensemble] replicas, master_seed, snapshot_times
+    [ensemble] master_seed, snapshot_times
     [validate] per-report thresholds, all optional (defaults below)
 
 Only [model], [lambda], [psi], [phi] are required; [grid], [ensemble]
@@ -74,7 +74,6 @@ class RunConfig:
     model: ModelSpec
     grid_m: int = 32
     grid_dt: float = 1e-3
-    replicas: int = 100
     master_seed: int | None = None
     snapshot_times: tuple = ()
     validate: dict = field(default_factory=dict)
@@ -212,12 +211,8 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"[grid]: {exc}") from exc
     if "ensemble" in parser:
         ens = parser["ensemble"]
-        _reject_unknown(
-            ens, "ensemble", ("replicas", "master_seed", "snapshot_times")
-        )
+        _reject_unknown(ens, "ensemble", ("master_seed", "snapshot_times"))
         try:
-            if "replicas" in ens:
-                kwargs["replicas"] = int(ens["replicas"])
             if "master_seed" in ens:
                 kwargs["master_seed"] = int(ens["master_seed"])
         except ValueError as exc:

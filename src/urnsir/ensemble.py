@@ -15,6 +15,7 @@ from .fields import TestFunction
 from .gillespie import snapshot_states
 from .graphical import ClockTable, state_from_clocks
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec
+from .rk4 import time_index
 from .streams import replica_seed
 
 __all__ = [
@@ -67,10 +68,7 @@ class EnsembleResult:
         return self.spec.snapshot_times
 
     def time_index(self, t: float) -> int:
-        for k, tk in enumerate(self.spec.snapshot_times):
-            if abs(tk - t) <= 1e-9 * max(1.0, abs(t)):
-                return k
-        raise ValueError(f"time {t} is not a snapshot time")
+        return time_index(self.spec.snapshot_times, t)
 
     def indicator(self, which: int, k: int) -> np.ndarray:
         """(replicas, N) 0/1 array of 1{state == which} at snapshot k."""

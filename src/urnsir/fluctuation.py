@@ -30,8 +30,9 @@ and the noise covariance density (in weight coordinates)
 
 Covariances evolve by the Lyapunov equation dC/dt = S C + C S^T + Q from
 C(0) = [[D, -D], [-D, D]], D = M diag(phi (1 - phi)); pairings are
-Cov(eta(f), beta(g)) = (1/M^2) f^T C_eb g.  Integration is fixed-step
-classical fourth order; the density is solved on a half-step grid so the
+Cov(eta(f), beta(g)) = (1/M^2) f^T C_eb g.  Integration is
+:func:`urnsir.rk4.rk4`, the one fixed-step classical fourth-order
+integrator of the package; the density is solved on a half-step grid so the
 midpoint-stage operator panels exist without interpolation and the scheme
 keeps its order.
 """
@@ -46,6 +47,7 @@ import numpy as np
 from .fields import TestFunction, sites
 from .hydro import DensityField, GridSpec, solve_density
 from .model import ModelSpec
+from .rk4 import rk4, time_index, time_steps
 
 __all__ = [
     "OperatorPanel",
@@ -142,14 +144,10 @@ class PanelSeries:
     """
 
     def __init__(self, spec: ModelSpec, m: int, dt: float, T: float):
-        if T < 0 or not np.isfinite(T):
-            raise ValueError("T must be finite and >= 0")
-        coarse = GridSpec(M=m, dt=dt, T=T)
         self.spec = spec
-        self.n_steps = coarse.n_steps()
-        self.dt = coarse.step()
+        self.n_steps, self.dt = time_steps(T, dt)
         self.T = float(T)
-        half = self.dt / 2.0 if self.n_steps else dt
+        half = self.dt / 2.0 if self.n_steps else self.dt
         self.density = solve_density(spec, GridSpec(M=m, dt=half, T=T))
         self.m = m
         self._cache: dict[int, OperatorPanel] = {}
@@ -186,18 +184,13 @@ def propagate(series: PanelSeries, s: float, t: float) -> np.ndarray:
     b = series.step_index(t)
     if b < a:
         raise ValueError("propagation runs forward in time")
-    m2 = 2 * series.m
-    y = np.eye(m2)
-    h = series.dt
-    for k in range(a, b):
-        s0 = weight_drift(series.half_panel(2 * k))
-        sm = weight_drift(series.half_panel(2 * k + 1))
-        s1 = weight_drift(series.half_panel(2 * k + 2))
-        k1 = s0 @ y
-        k2 = sm @ (y + 0.5 * h * k1)
-        k3 = sm @ (y + 0.5 * h * k2)
-        k4 = s1 @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def drift(y, j):
+        return weight_drift(series.half_panel(j)) @ y
+
+    y = np.eye(2 * series.m)
+    for y in rk4(drift, y, series.dt, a, b):
+        pass
     return y
 
 
@@ -247,10 +240,7 @@ class CovarianceTrajectory:
                 )
 
     def at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not among the stored times")
-        return self.covariances[idx]
+        return self.covariances[time_index(self.times, t)]
 
 
 def evolve_covariance(
@@ -273,7 +263,7 @@ def evolve_covariance(
         store_every = max(1, n // 200) if n else 1
     h = series.dt
     times = [0.0]
-    stored = [c.copy()]
+    stored = [c]
 
     def rhs(mat: np.ndarray, half_index: int) -> np.ndarray:
         s = weight_drift(series.half_panel(half_index))
@@ -282,15 +272,10 @@ def evolve_covariance(
             out = out + noise_matrix(series.half_panel(half_index))
         return out
 
-    for k in range(n):
-        k1 = rhs(c, 2 * k)
-        k2 = rhs(c + 0.5 * h * k1, 2 * k + 1)
-        k3 = rhs(c + 0.5 * h * k2, 2 * k + 1)
-        k4 = rhs(c + h * k3, 2 * k + 2)
-        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (k + 1) % store_every == 0 or k == n - 1:
-            times.append((k + 1) * h)
-            stored.append(c.copy())
+    for k, c in enumerate(rk4(rhs, c, h, 0, n), 1):
+        if k % store_every == 0 or k == n:
+            times.append(k * h)
+            stored.append(c)
     return CovarianceTrajectory(
         times=np.asarray(times), covariances=np.asarray(stored), m=m
     )

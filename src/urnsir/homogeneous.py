@@ -14,9 +14,10 @@ covariance solves dSigma/dt = A Sigma + Sigma A^T + B with
     B = [[i + lam0*i*s, -lam0*i*s], [-lam0*i*s, lam0*i*s]],
     Sigma(0) = phi0*(1-phi0) * [[1, -1], [-1, 1]].
 
-Both solvers use the same fixed-step fourth-order Runge-Kutta scheme as the
-general machinery so that constant-input cross-checks isolate modeling
-differences, not integrator differences.
+Both solvers step with :func:`urnsir.rk4.rk4`, the one fixed-step
+fourth-order Runge-Kutta integrator of the density and fluctuation solvers,
+on the same :func:`urnsir.rk4.time_steps` grid, so constant-input
+cross-checks isolate modeling differences, not integrator differences.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rk4 import rk4, time_index, time_steps
 
 __all__ = ["HomogeneousState", "classic_sir_solve", "classic_clt_covariance"]
 
@@ -38,90 +41,68 @@ class HomogeneousState:
     covariance: np.ndarray | None = None  # (n_times, 2, 2) when present
 
     def at(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the stored grid")
-        return idx
+        return time_index(self.times, t)
 
 
-def _steps(T: float, dt: float) -> tuple[int, float]:
-    if dt <= 0 or not np.isfinite(dt):
-        raise ValueError("dt must be positive")
-    if T < 0 or not np.isfinite(T):
-        raise ValueError("T must be finite and >= 0")
-    if T == 0.0:
-        return 0, dt
-    n = max(1, int(round(T / dt)))
-    return n, T / n
+def _check(lam0: float, phi0: float) -> None:
+    if not 0.0 <= phi0 <= 1.0:
+        raise ValueError("phi0 must lie in [0, 1]")
+    if lam0 < 0.0:
+        raise ValueError("lam0 must be nonnegative")
+
+
+def _fraction_rhs(lam0: float):
+    """Right-hand side f(y, j) of the fractions y = (i, s)."""
+
+    def f(y, j=None):
+        i, s = y
+        flux = lam0 * i * s
+        return np.array([-i + flux, -flux])
+
+    return f
 
 
 def classic_sir_solve(
     lam0: float, phi0: float, T: float, dt: float
 ) -> HomogeneousState:
     """Homogeneous fractions (i_t, s_t) from i_0 = phi0, s_0 = 1 - phi0."""
-    if not 0.0 <= phi0 <= 1.0:
-        raise ValueError("phi0 must lie in [0, 1]")
-    if lam0 < 0.0:
-        raise ValueError("lam0 must be nonnegative")
-    n, h = _steps(T, dt)
-    times = np.arange(n + 1) * h
-    inf = np.empty(n + 1)
-    sus = np.empty(n + 1)
-    x = np.array([phi0, 1.0 - phi0])
-    inf[0], sus[0] = x
-
-    def f(y):
-        i, s = y
-        flux = lam0 * i * s
-        return np.array([-i + flux, -flux])
-
-    for k in range(n):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        inf[k + 1], sus[k + 1] = x
-    return HomogeneousState(times=times, infected=inf, susceptible=sus)
+    _check(lam0, phi0)
+    n, h = time_steps(T, dt)
+    traj = np.empty((n + 1, 2))
+    traj[0] = phi0, 1.0 - phi0
+    for k, y in enumerate(rk4(_fraction_rhs(lam0), traj[0], h, 0, n), 1):
+        traj[k] = y
+    return HomogeneousState(
+        times=np.arange(n + 1) * h, infected=traj[:, 0],
+        susceptible=traj[:, 1],
+    )
 
 
 def classic_clt_covariance(
     lam0: float, phi0: float, T: float, dt: float
 ) -> HomogeneousState:
-    """Fractions plus the 2x2 fluctuation covariance along the trajectory."""
-    if not 0.0 <= phi0 <= 1.0:
-        raise ValueError("phi0 must lie in [0, 1]")
-    if lam0 < 0.0:
-        raise ValueError("lam0 must be nonnegative")
-    n, h = _steps(T, dt)
-    times = np.arange(n + 1) * h
-    inf = np.empty(n + 1)
-    sus = np.empty(n + 1)
-    cov = np.empty((n + 1, 2, 2))
-    x = np.array([phi0, 1.0 - phi0])
-    q = phi0 * (1.0 - phi0)
-    sigma = np.array([[q, -q], [-q, q]])
-    inf[0], sus[0] = x
-    cov[0] = sigma
+    """Fractions plus the 2x2 fluctuation covariance along the trajectory.
 
-    def f(y, s_mat):
-        i, s = y
+    The state stacks the fractions (i, s) over the two covariance rows.
+    """
+    _check(lam0, phi0)
+    n, h = time_steps(T, dt)
+    q = phi0 * (1.0 - phi0)
+    traj = np.empty((n + 1, 3, 2))
+    traj[0] = [[phi0, 1.0 - phi0], [q, -q], [-q, q]]
+    fractions = _fraction_rhs(lam0)
+
+    def f(y, j):
+        (i, s), sigma = y[0], y[1:]
         flux = lam0 * i * s
-        dx = np.array([-i + flux, -flux])
         a = np.array([[lam0 * s - 1.0, lam0 * i], [-lam0 * s, -lam0 * i]])
         b = np.array([[i + flux, -flux], [-flux, flux]])
-        ds = a @ s_mat + s_mat @ a.T + b
-        return dx, ds
+        ds = a @ sigma + sigma @ a.T + b
+        return np.concatenate((fractions(y[0])[None], ds))
 
-    for k in range(n):
-        k1x, k1s = f(x, sigma)
-        k2x, k2s = f(x + 0.5 * h * k1x, sigma + 0.5 * h * k1s)
-        k3x, k3s = f(x + 0.5 * h * k2x, sigma + 0.5 * h * k2s)
-        k4x, k4s = f(x + h * k3x, sigma + h * k3s)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        sigma = sigma + (h / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-        inf[k + 1], sus[k + 1] = x
-        cov[k + 1] = sigma
+    for k, y in enumerate(rk4(f, traj[0], h, 0, n), 1):
+        traj[k] = y
     return HomogeneousState(
-        times=times, infected=inf, susceptible=sus, covariance=cov
+        times=np.arange(n + 1) * h, infected=traj[:, 0, 0],
+        susceptible=traj[:, 0, 1], covariance=traj[:, 1:],
     )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .fields import TestFunction, sites
 from .model import ModelSpec
+from .rk4 import rk4, time_index, time_steps
 
 __all__ = [
     "GridSpec",
@@ -53,24 +54,16 @@ class GridSpec:
         if not isinstance(self.M, (int, np.integer)) or self.M < 1:
             raise ValueError("M must be an integer >= 1")
         object.__setattr__(self, "M", int(self.M))
-        dt = float(self.dt)
-        t = float(self.T)
-        if not np.isfinite(dt) or dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if not np.isfinite(t) or t < 0.0:
-            raise ValueError("T must be finite and >= 0")
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "T", t)
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "T", float(self.T))
+        time_steps(self.T, self.dt)
 
     def n_steps(self) -> int:
-        if self.T == 0.0:
-            return 0
-        return max(1, int(round(self.T / self.dt)))
+        return time_steps(self.T, self.dt)[0]
 
     def step(self) -> float:
         """Actual step T / n_steps (equals dt when dt divides T)."""
-        n = self.n_steps()
-        return self.T / n if n else self.dt
+        return time_steps(self.T, self.dt)[1]
 
 
 @dataclass(frozen=True)
@@ -104,10 +97,7 @@ class DensityField:
         return sites(self.m)
 
     def index_of(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"time {t} is not on the stored grid")
-        return idx
+        return time_index(self.times, t)
 
     def node_integral(self, t: float, f: TestFunction) -> float:
         """(1/M) sum_m rho1(t, m/M) f(m/M), the node-sum integral of rho1*f."""
@@ -121,9 +111,16 @@ class DensityField:
         return float(self.rho0[self.index_of(t)].mean())
 
 
-def _rhs(spec: ModelSpec, rho1: np.ndarray, rho0: np.ndarray):
-    force = spec.lam.node_average(rho1)
-    return -spec.psi.at_sites(rho1.size) * rho1 + rho0 * force, -rho0 * force
+def _density_rhs(spec: ModelSpec, m: int):
+    """Right-hand side f(y, j) of the stacked state y = (rho1, rho0)."""
+    psi_v = spec.psi.at_sites(m)
+
+    def f(y, j=None):
+        rho1, rho0 = y
+        force = spec.lam.node_average(rho1)
+        return np.array([-psi_v * rho1 + rho0 * force, -rho0 * force])
+
+    return f
 
 
 def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
@@ -133,30 +130,14 @@ def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
     [0 - tol, ...] or rho1 + rho0 exceeds 1 + tol.
     """
     m = grid.M
-    psi_v = spec.psi.at_sites(m)
-    r1 = spec.phi.at_sites(m).astype(float)
-    r0 = 1.0 - r1
-    n = grid.n_steps()
-    h = grid.step()
-    times = np.empty(n + 1)
+    n, h = time_steps(grid.T, grid.dt)
     rho1 = np.empty((n + 1, m))
     rho0 = np.empty((n + 1, m))
-    times[0], rho1[0], rho0[0] = 0.0, r1, r0
-
-    def f(a, b):
-        force = spec.lam.node_average(a)
-        return -psi_v * a + b * force, -b * force
-
-    for k in range(n):
-        k1a, k1b = f(r1, r0)
-        k2a, k2b = f(r1 + 0.5 * h * k1a, r0 + 0.5 * h * k1b)
-        k3a, k3b = f(r1 + 0.5 * h * k2a, r0 + 0.5 * h * k2b)
-        k4a, k4b = f(r1 + h * k3a, r0 + h * k3b)
-        r1 = r1 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        r0 = r0 + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        times[k + 1] = (k + 1) * h
-        rho1[k + 1] = r1
-        rho0[k + 1] = r0
+    rho1[0] = spec.phi.at_sites(m)
+    rho0[0] = 1.0 - rho1[0]
+    steps = rk4(_density_rhs(spec, m), np.array([rho1[0], rho0[0]]), h, 0, n)
+    for k, y in enumerate(steps, 1):
+        rho1[k], rho0[k] = y
 
     low = min(rho1.min(), rho0.min())
     high = (rho1 + rho0).max()
@@ -166,7 +147,7 @@ def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
         )
     if np.any(np.diff(rho0, axis=0) > BOUNDS_TOL):
         raise DensityBoundsError("susceptible density must be nonincreasing")
-    return DensityField(times=times, rho1=rho1, rho0=rho0)
+    return DensityField(times=np.arange(n + 1) * h, rho1=rho1, rho0=rho0)
 
 
 def density_residual(field: DensityField, spec: ModelSpec) -> float:
@@ -178,12 +159,13 @@ def density_residual(field: DensityField, spec: ModelSpec) -> float:
     """
     if field.times.size < 3:
         raise ValueError("residual needs at least three stored times")
+    f = _density_rhs(spec, field.m)
     worst = 0.0
     for k in range(1, field.times.size - 1):
         h2 = field.times[k + 1] - field.times[k - 1]
         d1 = (field.rho1[k + 1] - field.rho1[k - 1]) / h2
         d0 = (field.rho0[k + 1] - field.rho0[k - 1]) / h2
-        f1, f0 = _rhs(spec, field.rho1[k], field.rho0[k])
+        f1, f0 = f((field.rho1[k], field.rho0[k]))
         worst = max(
             worst,
             float(np.max(np.abs(d1 - f1))),

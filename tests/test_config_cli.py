@@ -68,7 +68,6 @@ class TestLoadConfig:
             dt = 0.01
 
             [ensemble]
-            replicas = 40
             master_seed = 99
             snapshot_times = 0.5, 1.0, 2.5
 
@@ -84,7 +83,7 @@ class TestLoadConfig:
         assert cfg.model.psi(1.0) == pytest.approx(1.3)
         assert cfg.model.phi(0.5) == pytest.approx(0.3)  # second table node
         assert cfg.grid_m == 16 and cfg.grid_dt == 0.01
-        assert cfg.replicas == 40 and cfg.master_seed == 99
+        assert cfg.master_seed == 99
         assert cfg.snapshot_times == (0.5, 1.0, 2.5)
         assert cfg.validate == {
             "lln_ns": (20, 40),
@@ -143,6 +142,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section,key", [
         ("grid", "steps"), ("ensemble", "replica"), ("ensemble", "threads"),
+        ("ensemble", "replicas"),
     ])
     def test_unknown_grid_and_ensemble_keys(self, tmp_path, capsys,
                                             section, key):
