@@ -14,6 +14,12 @@ same convention as the urn sites i/N; evaluation left of the first node
 clamps to the first value.  Two-dimensional kernel tables live on the
 corner-inclusive grid k/(M-1), k = 0..M-1, so bilinear interpolation covers
 the whole square without extrapolation.
+
+Every kernel is exactly finite rank, lambda(u, v) = sum_a left_a(u) right_a(v),
+and is evaluated only through these factors: a constant is (lam0, 1) and a
+separable kernel (h1(u), h2(v)), both of rank 1; an M x M table G is
+(hat(u) @ G, hat(v)) over the M hat functions of its grid, of rank M.  The
+site matrix, the node sums and the event engine's pressure all use them.
 """
 
 from __future__ import annotations
@@ -189,38 +195,31 @@ class Kernel:
         scalar = np.isscalar(u) and np.isscalar(v)
         uu = _check_unit_interval(u, "u")
         vv = _check_unit_interval(v, "v")
-        uu, vv = np.broadcast_arrays(uu, vv)
-        if self.form == "constant":
-            out = np.full(uu.shape, self.lam0, dtype=float)
-        elif self.form == "separable":
-            out = np.asarray(self.h1(uu)) * np.asarray(self.h2(vv))
-        else:
-            out = self._bilinear(uu, vv)
+        left, right = self._factors(uu, vv)
+        out = (left * right).sum(-1)
         return float(out) if scalar else out
 
-    def _bilinear(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _factors(self, u: np.ndarray, v: np.ndarray):
+        """(left(u), right(v)), each (..., r); lambda is their row-wise dot."""
+        if self.form == "constant":
+            return np.full(u.shape + (1,), self.lam0), np.ones(v.shape + (1,))
+        if self.form == "separable":
+            return (np.asarray(self.h1(u))[..., None],
+                    np.asarray(self.h2(v))[..., None])
         grid = np.asarray(self.values, dtype=float)
-        m = grid.shape[0]
-        x = u * (m - 1)
-        y = v * (m - 1)
-        i0 = np.clip(np.floor(x).astype(int), 0, m - 2)
-        j0 = np.clip(np.floor(y).astype(int), 0, m - 2)
-        fx = x - i0
-        fy = y - j0
-        g00 = grid[i0, j0]
-        g01 = grid[i0, j0 + 1]
-        g10 = grid[i0 + 1, j0]
-        g11 = grid[i0 + 1, j0 + 1]
-        return (
-            g00 * (1 - fx) * (1 - fy)
-            + g01 * (1 - fx) * fy
-            + g10 * fx * (1 - fy)
-            + g11 * fx * fy
-        )
+        return _hat(u, grid.shape[0]) @ grid, _hat(v, grid.shape[0])
+
+    def factors(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (left, right) at the urn sites i/N, each (N, r).
+
+        lambda(i/N, j/N) = left[i] @ right[j], so the pressure on every
+        urn from the infected set is left @ (infected @ right) / N.
+        """
+        return _factors_cached(self, n)
 
     def site_matrix(self, n: int) -> np.ndarray:
-        """Matrix lambda(i/N, j/N); row = target site, column = source site."""
-        return _site_matrix_cached(self, n).copy()
+        """Read-only lambda(i/N, j/N); row = target site, column = source."""
+        return _site_matrix_cached(self, n)
 
     def node_average(self, values: np.ndarray) -> np.ndarray:
         """(1/M) sum_q lambda(u_m, q/M) values[q] on the grid of ``values``.
@@ -230,22 +229,10 @@ class Kernel:
         """
         values = np.asarray(values, dtype=float)
         m = values.shape[-1]
-        if self.form == "constant":
-            mean = values.mean(axis=-1)
-            return self.lam0 * np.repeat(np.asarray(mean)[..., None], m, axis=-1)
-        if self.form == "separable":
-            s = sites(m)
-            weighted = (np.asarray(self.h2(s)) * values).mean(axis=-1)
-            return np.asarray(self.h1(s)) * np.asarray(weighted)[..., None]
-        return values @ _site_matrix_cached(self, m).T / m
-
-    def column_at_sites(self, j: int, n: int) -> np.ndarray:
-        """lambda(i/N, j/N) over targets i = 1..N for a fixed source urn j."""
-        if not 1 <= j <= n:
-            raise ValueError("source urn out of range")
-        if self.form == "constant":
-            return np.full(n, self.lam0, dtype=float)
-        return np.asarray(self(sites(n), np.full(n, j / n)))
+        left, right = self.factors(m)
+        # sum along the last axis, as values.mean(-1) does: constant and
+        # separable kernels then give the closed-form sums bit for bit
+        return ((right.T * values[..., None, :]).sum(-1) / m).dot(left.T)
 
     def min_value(self) -> float:
         if self.form == "constant":
@@ -275,9 +262,24 @@ class Kernel:
         return flat.pop() if len(flat) == 1 else None
 
 
+def _hat(u: np.ndarray, m: int) -> np.ndarray:
+    """Hat functions of the corner-inclusive grid k/(M-1) at u, (..., M)."""
+    return np.maximum(0.0, 1.0 - np.abs(u[..., None] * (m - 1) - np.arange(m)))
+
+
+@lru_cache(maxsize=32)
+def _factors_cached(kernel: Kernel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    s = sites(n)
+    # column-major, so that left.T and right.T are contiguous (r, N) rows
+    left, right = map(np.asfortranarray, kernel._factors(s, s))
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
 @lru_cache(maxsize=32)
 def _site_matrix_cached(kernel: Kernel, n: int) -> np.ndarray:
-    s = sites(n)
-    mat = np.asarray(kernel(s[:, None], s[None, :]), dtype=float)
+    left, right = _factors_cached(kernel, n)
+    mat = left @ right.T
     mat.setflags(write=False)
     return mat

@@ -3,10 +3,11 @@
 The simulator draws the next event by a single uniform over the cumulative
 per-urn rate array: an infected urn i carries rate psi(i/N), a susceptible
 urn carries its infection pressure (1/N) sum_j lambda(i/N, j/N) over
-infected j, a removed urn carries rate 0.  Pressure is maintained
-incrementally (one kernel column per event) and re-synced periodically; a
-recompute must agree with the incremental value to 1e-10 relative, and the
-test suite checks that it does.
+infected j, a removed urn carries rate 0.  The pressure is recomputed
+exactly at every event from the kernel's rank-r site factors,
+left @ (infected @ right) / N, at O(N r) per event; no N x N matrix is
+built, so nothing drifts and an urn on which lambda vanishes has rate
+exactly 0.
 
 When both the kernel and the recovery rate are constants, urn identity does
 not affect rates and the engine switches to an O(1)-per-event membership
@@ -47,8 +48,6 @@ __all__ = [
 
 RECOVERY, INFECTION = 0, 1
 _KIND_NAMES = {RECOVERY: "recovery", INFECTION: "infection"}
-_RESYNC_EVERY = 4096
-_DENSE_KERNEL_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -186,40 +185,17 @@ class Simulation:
     def _init_general(self) -> None:
         n = self.spec.N
         self._psi_sites = self.spec.psi.at_sites(n)
-        self._site_matrix = (
-            self.spec.lam.site_matrix(n) if n <= _DENSE_KERNEL_LIMIT else None
-        )
-        self.pressure = infection_pressure(self.spec, self.states)
-        self._since_resync = 0
+        left, right = self.spec.lam.factors(n)
+        self._left = left / n
+        self._right = right
 
-    def _lam_col(self, idx: int) -> np.ndarray:
-        """lambda(. , idx site): how urn ``idx`` presses on every target."""
-        if self._site_matrix is not None:
-            return self._site_matrix[:, idx]
-        return self.spec.lam.column_at_sites(idx + 1, self.spec.N)
-
-    def _lam_row(self, idx: int) -> np.ndarray:
-        """lambda(idx site, .): how every source presses on urn ``idx``."""
-        if self._site_matrix is not None:
-            return self._site_matrix[idx, :]
-        s = self.spec.sites()
-        return np.asarray(self.spec.lam(np.full(self.spec.N, s[idx]), s))
-
-    def _step_general(self, retried: bool = False):
+    def _step_general(self):
         inf_mask = self.states == INFECTED
-        if not inf_mask.any():
-            # no infected: no recoveries and no true pressure; the cached
-            # pressure may carry update round-off, so test exactly here
-            self.absorbed = True
-            return None
+        pressure = self._left.dot(inf_mask.dot(self._right))
         rates = np.where(
             inf_mask,
             self._psi_sites,
-            np.where(
-                self.states == SUSCEPTIBLE,
-                np.maximum(self.pressure, 0.0),
-                0.0,
-            ),
+            np.where(self.states == SUSCEPTIBLE, pressure, 0.0),
         )
         cum = np.cumsum(rates)
         total = cum[-1]
@@ -227,39 +203,21 @@ class Simulation:
             self.absorbed = True
             return None
         n = self.spec.N
-        wait = self.rng.exponential() / total
+        self.time += self.rng.exponential() / total
         u = self.rng.random() * total
         idx = min(int(np.searchsorted(cum, u, side="right")), n - 1)
         if self.states[idx] == INFECTED:
-            self.time += wait
             self.states[idx] = REMOVED
-            self.pressure = self.pressure - self._lam_col(idx) / n
-            out = self.time, RECOVERY, idx, -1
-        else:
-            weights = np.cumsum(self._lam_row(idx) * inf_mask)
-            if weights[-1] <= 0.0:
-                # drift residue made a zero-pressure urn selectable; resync
-                # and redraw once with exact rates, time not yet advanced
-                if retried:
-                    raise RuntimeError("selected a susceptible with no pressure")
-                self.pressure = infection_pressure(self.spec, self.states)
-                self._since_resync = 0
-                return self._step_general(retried=True)
-            self.time += wait
-            src = min(
-                int(np.searchsorted(
-                    weights, self.rng.random() * weights[-1], side="right"
-                )),
-                n - 1,
-            )
-            self.states[idx] = INFECTED
-            self.pressure = self.pressure + self._lam_col(idx) / n
-            out = self.time, INFECTION, idx, src
-        self._since_resync += 1
-        if self._since_resync >= _RESYNC_EVERY:
-            self.pressure = infection_pressure(self.spec, self.states)
-            self._since_resync = 0
-        return out
+            return self.time, RECOVERY, idx, -1
+        weights = np.cumsum(self._right.dot(self._left[idx]) * inf_mask)
+        src = min(
+            int(np.searchsorted(
+                weights, self.rng.random() * weights[-1], side="right"
+            )),
+            n - 1,
+        )
+        self.states[idx] = INFECTED
+        return self.time, INFECTION, idx, src
 
     def step(self):
         """Advance one event; returns (time, kind, urn_idx, source_idx) with

@@ -412,32 +412,28 @@ def clt_report(
 
 
 def _dynkin_walk(model: ModelSpec, seed: int, t: float, fv: np.ndarray,
-                 grid: np.ndarray, lam_site: np.ndarray | None,
-                 lam0: float | None):
+                 grid: np.ndarray, left: np.ndarray, right: np.ndarray):
     """One replica: exact event-time integrals plus grid samples of S.p.
 
     Returns (raw0, rawt, lint, qv, sp_grid) where lint integrates the
     generator term (1/sqrt N) sum f S p, qv integrates the quadratic
     variation rate (1/N) sum f^2 S p, and sp_grid[k] holds the vector
     S * pressure at grid time k (state right-continuous at event times).
+    The pressure p = left @ (inf @ right) / N comes from the kernel's
+    site factors and is recomputed exactly after every event.
     """
     n = model.N
     sqrt_n = math.sqrt(n)
     traj = simulate(model, seed)
-    states = np.array(traj.initial.states, dtype=np.int8)
-    sus = (states == SUSCEPTIBLE).astype(float)
-    inf = (states == INFECTED).astype(float)
-    if lam0 is not None:
-        pressure = np.full(n, lam0 * inf.sum() / n)
-    else:
-        pressure = lam_site @ inf / n
+    sus = (traj.initial.states == SUSCEPTIBLE).astype(float)
+    inf = (traj.initial.states == INFECTED).astype(float)
+    pressure = left.dot(inf.dot(right)) / n
     raw0 = float(fv @ sus) / sqrt_n
     sp_grid = np.empty((grid.size, n))
     gi = 0
     cur = 0.0
     lint = 0.0
     qv = 0.0
-    events_since_sync = 0
     for ev in traj.events:
         te = ev.time
         sp = sus * pressure
@@ -449,22 +445,11 @@ def _dynkin_walk(model: ModelSpec, seed: int, t: float, fv: np.ndarray,
         qv += dur * float((fv**2) @ sp) / n
         idx = ev.urn - 1
         if ev.kind == "recovery":
-            states[idx] = -1
             inf[idx] = 0.0
-            delta = -1.0
         else:
-            states[idx] = INFECTED
             sus[idx] = 0.0
             inf[idx] = 1.0
-            delta = 1.0
-        if lam0 is not None:
-            pressure = np.full(n, lam0 * inf.sum() / n)
-        else:
-            pressure = pressure + delta * lam_site[:, idx] / n
-            events_since_sync += 1
-            if events_since_sync >= 4096:
-                pressure = lam_site @ inf / n
-                events_since_sync = 0
+        pressure = left.dot(inf.dot(right)) / n
         cur = te
     sp = sus * pressure
     while gi < grid.size:
@@ -506,8 +491,7 @@ def dynkin_report(
     fv = f.at_sites(n)
     n_grid = max(1, round(t / dt_report))
     grid = np.arange(n_grid + 1) * (t / n_grid)
-    lam0 = model.lam.constant_value()
-    lam_site = None if lam0 is not None else model.lam.site_matrix(n)
+    left, right = model.lam.factors(n)
 
     raw0 = np.empty(replicas)
     rawt = np.empty(replicas)
@@ -517,7 +501,7 @@ def dynkin_report(
 
     for r in range(replicas):
         raw0[r], rawt[r], lint[r], qv[r], sp = _dynkin_walk(
-            spec_t, replica_seed(master_seed, r), t, fv, grid, lam_site, lam0
+            spec_t, replica_seed(master_seed, r), t, fv, grid, left, right
         )
         sp_sum += sp
 

@@ -241,3 +241,24 @@ def test_09_martingale_residual_and_quadratic_variation():
             f"Var/QV {by_name['var_over_qv'].value:.3f} in [0.85, 1.15] "
             f"({elapsed:.0f}s)")
 
+
+def test_10_martingale_residual_heterogeneous():
+    spec = ModelSpec(
+        lam=Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4], [1.4, 2.6, 3.0]]),
+        psi=ScalarField.affine(0.5, 1.0),
+        phi=ScalarField.affine(0.1, 0.4),
+        N=400,
+        T=1.0,
+    )
+    t0 = time.time()
+    rep = dynkin_report(spec, MASTER_SEED, t=1.0, replicas=1000)
+    by_name = {r.statistic: r for r in rep.records}
+    elapsed = time.time() - t0
+    ok = (rep.passed
+          and abs(by_name["mean_residual"].value) <= by_name["mean_residual"].bound
+          and 0.85 <= by_name["var_over_qv"].value <= 1.15
+          and elapsed < 60)
+    verdict(ok, "dynkin heterogeneous",
+            f"mean residual {by_name['mean_residual'].value:+.5f} within 3 SE, "
+            f"Var/QV {by_name['var_over_qv'].value:.3f} in [0.85, 1.15] "
+            f"({elapsed:.0f}s)")

@@ -129,11 +129,71 @@ class TestKernel:
         direct = kernel.site_matrix(6) @ vals / 6
         np.testing.assert_allclose(kernel.node_average(vals), direct)
 
-    def test_column_at_sites(self):
-        k = Kernel.separable(
-            ScalarField.constant(1.0), ScalarField.affine(0.0, 1.0)
-        )  # lam(u, v) = v
-        np.testing.assert_allclose(k.column_at_sites(2, 4), 0.5)
+    @pytest.mark.parametrize(
+        "kernel, rank",
+        [
+            (Kernel.constant(1.7), 1),
+            (
+                Kernel.separable(
+                    ScalarField.affine(0.5, 1.0), ScalarField.affine(2.0, -1.0)
+                ),
+                1,
+            ),
+            (
+                Kernel.table(
+                    [[1.0, 2.0, 0.5], [0.3, 1.5, 2.5], [2.0, 0.7, 1.1]]
+                ),
+                3,
+            ),
+            (
+                Kernel.table(
+                    [
+                        [1.0, 0.0, 2.0, 0.5, 1.2],
+                        [0.0, 0.0, 0.0, 0.0, 0.0],
+                        [0.3, 0.0, 1.5, 2.5, 0.9],
+                        [2.0, 0.0, 0.7, 1.1, 0.4],
+                        [0.6, 0.0, 1.3, 0.2, 3.0],
+                    ]
+                ),
+                5,
+            ),
+        ],
+    )
+    def test_factors_reproduce_kernel(self, kernel, rank):
+        n = 11
+        left, right = kernel.factors(n)
+        assert left.shape == right.shape == (n, rank)
+        assert not left.flags.writeable and not right.flags.writeable
+        product = left @ right.T
+        np.testing.assert_allclose(product, kernel.site_matrix(n), rtol=1e-14)
+        s = sites(n)
+        np.testing.assert_allclose(
+            product, kernel(s[:, None], s[None, :]), rtol=1e-14
+        )
+
+    def test_constant_kernel_exact(self):
+        k = Kernel.constant(1.7)
+        vals = np.random.default_rng(1).random(9)
+        np.testing.assert_array_equal(k.site_matrix(9), np.full((9, 9), 1.7))
+        np.testing.assert_array_equal(
+            k.node_average(vals), np.full(9, 1.7 * vals.mean())
+        )
+        np.testing.assert_array_equal(k(sites(9), sites(9)), np.full(9, 1.7))
+
+    def test_separable_kernel_exact(self):
+        h1 = ScalarField.affine(0.5, 1.0)
+        h2 = ScalarField.table([2.0, 0.3, 1.1])
+        k = Kernel.separable(h1, h2)
+        s = sites(9)
+        vals = np.random.default_rng(2).random((2, 9))
+        np.testing.assert_array_equal(
+            k.site_matrix(9), np.outer(h1(s), h2(s))
+        )
+        np.testing.assert_array_equal(
+            k.node_average(vals),
+            h1(s) * (h2(s) * vals).mean(axis=-1)[:, None],
+        )
+        np.testing.assert_array_equal(k(s, s[::-1]), h1(s) * h2(s[::-1]))
 
     def test_sup_norm(self):
         k = Kernel.table([[1.0, 2.0], [3.0, 0.5]])

@@ -10,7 +10,6 @@ from urnsir.gillespie import (
     Event,
     Simulation,
     Trajectory,
-    infection_pressure,
     replay,
     simulate,
     snapshot_states,
@@ -121,15 +120,40 @@ class TestEngines:
         for seed in range(8):
             walk_and_check(simulate(spec, seed))
 
-    def test_pressure_cache_stays_synced(self):
-        spec = general_spec(n=200, T=5.0)
-        sim = Simulation(spec, 3)
-        count = 0
-        while sim.step() is not None:
-            count += 1
-        assert count > 100  # the run must actually exercise updates
-        exact = infection_pressure(spec, sim.states)
-        assert np.max(np.abs(sim.pressure - exact)) < 1e-10
+    def test_no_kernel_evaluation_after_setup(self, monkeypatch):
+        # stepping reads only the site factors taken at set-up, at any N
+        sim = Simulation(general_spec(n=3000), 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel evaluated while stepping")
+
+        for name in ("__call__", "site_matrix", "node_average"):
+            monkeypatch.setattr(Kernel, name, forbidden)
+        for _ in range(200):
+            assert sim.step() is not None
+
+    def test_zero_kernel_rows_never_infected(self):
+        # h1 vanishes on [0, 3/5], so the urns there feel no pressure
+        spec = ModelSpec(
+            lam=Kernel.separable(
+                ScalarField.table([0.0, 0.0, 0.0, 1.0, 2.0]),
+                ScalarField.constant(3.0),
+            ),
+            psi=ScalarField.affine(0.5, 0.5),
+            phi=ScalarField.constant(0.5),
+            N=20,
+            T=1e6,
+        )
+        immune = spec.lam.h1.at_sites(spec.N) == 0.0
+        assert immune.any() and not immune.all()
+        infections = 0
+        for seed in range(50):
+            traj = simulate(spec, seed)
+            for ev in traj.events:
+                if ev.kind == "infection":
+                    infections += 1
+                    assert not immune[ev.urn - 1]
+        assert infections > 0
 
     def test_absorption_stops_iteration(self):
         spec = uniform_spec(n=4, T=1e6)
