@@ -26,8 +26,6 @@ from .gillespie import (
     Event,
     Simulation,
     Trajectory,
-    event_rates,
-    infection_pressure,
     replay,
     simulate,
     snapshot_states,

@@ -39,11 +39,11 @@ keeps its order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_time_rows
 from .fields import TestFunction, sites
 from .hydro import DensityField, GridSpec, solve_density
 from .model import ModelSpec
@@ -150,17 +150,23 @@ class PanelSeries:
         half = self.dt / 2.0 if self.n_steps else self.dt
         self.density = solve_density(spec, GridSpec(M=m, dt=half, T=T))
         self.m = m
-        self._cache: dict[int, OperatorPanel] = {}
+        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def half_panel(self, half_index: int) -> OperatorPanel:
-        """Panel at time half_index * dt/2."""
-        panel = self._cache.get(half_index)
-        if panel is None:
+    def half_operators(self, half_index: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(weight_drift, noise_matrix) of the panel at half_index * dt/2.
+
+        Each pair is built once; the last four stay cached, enough for the
+        stages of one RK4 step (half steps 2k, 2k+1, 2k+1, 2k+2).
+        """
+        ops = self._cache.get(half_index)
+        if ops is None:
             panel = _panel_at_index(self.spec, self.density, half_index)
-            self._cache[half_index] = panel
-            if len(self._cache) > 64:
+            ops = (weight_drift(panel), noise_matrix(panel))
+            self._cache[half_index] = ops
+            if len(self._cache) > 4:
                 self._cache.pop(next(iter(self._cache)))
-        return panel
+        return ops
 
     def panel(self, t: float) -> OperatorPanel:
         return build_operator_panel(self.spec, self.density, t)
@@ -186,7 +192,7 @@ def propagate(series: PanelSeries, s: float, t: float) -> np.ndarray:
         raise ValueError("propagation runs forward in time")
 
     def drift(y, j):
-        return weight_drift(series.half_panel(j)) @ y
+        return series.half_operators(j)[0] @ y
 
     y = np.eye(2 * series.m)
     for y in rk4(drift, y, series.dt, a, b):
@@ -266,10 +272,10 @@ def evolve_covariance(
     stored = [c]
 
     def rhs(mat: np.ndarray, half_index: int) -> np.ndarray:
-        s = weight_drift(series.half_panel(half_index))
+        s, q = series.half_operators(half_index)
         out = s @ mat + mat @ s.T
         if include_noise:
-            out = out + noise_matrix(series.half_panel(half_index))
+            out = out + q
         return out
 
     for k, c in enumerate(rk4(rhs, c, h, 0, n), 1):
@@ -300,37 +306,24 @@ def pair_covariance(
 def write_covariance_csv(traj: CovarianceTrajectory, path) -> None:
     """Rows time, block (ee|eb|bb), row_u, col_u, value."""
     m = traj.m
-    nodes = sites(m)
+    us = [f"{u:.10g}" for u in sites(m)]
+    cells = [f"{name},{a},{b},%.12g"
+             for name in ("ee", "eb", "bb") for a in us for b in us]
     blocks = (
-        ("ee", slice(0, m), slice(0, m)),
-        ("eb", slice(0, m), slice(m, 2 * m)),
-        ("bb", slice(m, 2 * m), slice(m, 2 * m)),
+        (t, np.concatenate((c[:m, :m], c[:m, m:], c[m:, m:]), axis=None))
+        for t, c in zip(traj.times, traj.covariances)
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "block", "row_u", "col_u", "value"])
-        for k, t in enumerate(traj.times):
-            c = traj.covariances[k]
-            for name, rows, cols in blocks:
-                sub = c[rows, cols]
-                for a in range(m):
-                    for b in range(m):
-                        writer.writerow(
-                            [f"{t:.10g}", name, f"{nodes[a]:.10g}",
-                             f"{nodes[b]:.10g}", f"{sub[a, b]:.12g}"]
-                        )
+    write_time_rows(path, ("time", "block", "row_u", "col_u", "value"),
+                    cells, blocks)
 
 
 def write_pair_csv(
     traj: CovarianceTrajectory, f: TestFunction, g: TestFunction, path
 ) -> None:
     """Rows time, var_eta_f, cov_eta_beta, var_beta_g."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "var_eta_f", "cov_eta_beta", "var_beta_g"])
-        for k, t in enumerate(traj.times):
-            v = pair_covariance(traj.covariances[k], f, g, traj.m)
-            writer.writerow(
-                [f"{t:.10g}", f"{v[0, 0]:.12g}", f"{v[0, 1]:.12g}",
-                 f"{v[1, 1]:.12g}"]
-            )
+    blocks = (
+        (t, pair_covariance(c, f, g, traj.m)[[0, 0, 1], [0, 1, 1]])
+        for t, c in zip(traj.times, traj.covariances)
+    )
+    write_time_rows(path, ("time", "var_eta_f", "cov_eta_beta", "var_beta_g"),
+                    ["%.12g,%.12g,%.12g"], blocks)

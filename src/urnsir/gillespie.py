@@ -17,12 +17,12 @@ spec, so the contract "same (spec, seed) -> same trajectory" always holds.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_time_rows
 from .model import (
     Configuration,
     INFECTED,
@@ -36,8 +36,6 @@ from .streams import DOMAIN_SIMULATION, derive_rng
 __all__ = [
     "Event",
     "Trajectory",
-    "infection_pressure",
-    "event_rates",
     "Simulation",
     "simulate",
     "snapshot_states",
@@ -85,27 +83,6 @@ class Trajectory:
             raise ValueError("event times must be strictly increasing")
         if times and times[0] <= self.initial.time:
             raise ValueError("events must happen after the initial time")
-
-
-def infection_pressure(spec: ModelSpec, states: np.ndarray) -> np.ndarray:
-    """Per-urn pressure (1/N) sum_j lambda(i/N, j/N) 1{xi(j) = 1}."""
-    states = np.asarray(states)
-    if states.shape != (spec.N,):
-        raise ValueError("states must have one entry per urn")
-    return spec.lam.node_average((states == INFECTED).astype(float))
-
-
-def event_rates(
-    config: Configuration, spec: ModelSpec, pressure: np.ndarray | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(total, recovery rates, infection rates), one entry per urn."""
-    if config.n != spec.N:
-        raise ValueError("configuration size does not match spec")
-    if pressure is None:
-        pressure = infection_pressure(spec, config.states)
-    rec = np.where(config.states == INFECTED, spec.psi_at_sites(), 0.0)
-    inf = np.where(config.states == SUSCEPTIBLE, pressure, 0.0)
-    return float(rec.sum() + inf.sum()), rec, inf
 
 
 class Simulation:
@@ -355,9 +332,6 @@ def write_events_ndjson(trajectory: Trajectory, path) -> None:
 
 def write_snapshots_csv(trajectory: Trajectory, path) -> None:
     """Rows time, urn, state for every snapshot and urn."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "urn", "state"])
-        for snap in trajectory.snapshots:
-            for urn, state in enumerate(snap.states, start=1):
-                writer.writerow([f"{snap.time:.10g}", urn, int(state)])
+    cells = [f"{urn},%d" for urn in range(1, trajectory.spec.N + 1)]
+    blocks = ((snap.time, snap.states) for snap in trajectory.snapshots)
+    write_time_rows(path, ("time", "urn", "state"), cells, blocks)

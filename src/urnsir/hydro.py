@@ -17,11 +17,11 @@ No clipping is applied anywhere: bound violations beyond tolerance raise
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvout import write_time_rows
 from .fields import TestFunction, sites
 from .model import ModelSpec
 from .rk4 import rk4, time_index, time_steps
@@ -176,13 +176,9 @@ def density_residual(field: DensityField, spec: ModelSpec) -> float:
 
 def write_density_csv(field: DensityField, path) -> None:
     """Rows time, node_u, rho1, rho0 for every stored time and node."""
-    nodes = field.nodes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "node_u", "rho1", "rho0"])
-        for k, t in enumerate(field.times):
-            for m, u in enumerate(nodes):
-                writer.writerow(
-                    [f"{t:.10g}", f"{u:.10g}",
-                     f"{field.rho1[k, m]:.12g}", f"{field.rho0[k, m]:.12g}"]
-                )
+    cells = [f"{u:.10g},%.12g,%.12g" for u in field.nodes()]
+    blocks = (
+        (t, np.stack((r1, r0), axis=-1))
+        for t, r1, r0 in zip(field.times, field.rho1, field.rho0)
+    )
+    write_time_rows(path, ("time", "node_u", "rho1", "rho0"), cells, blocks)

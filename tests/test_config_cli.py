@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import textwrap
 
@@ -14,6 +15,7 @@ from urnsir.config import (
     spec_hash,
 )
 from urnsir.fields import Kernel, ScalarField
+from urnsir.homogeneous import classic_clt_covariance
 from urnsir.model import ModelSpec
 
 
@@ -301,6 +303,18 @@ class TestCli:
         assert rows[0] == ["time", "infected", "susceptible",
                            "var_eta", "cov_eta_beta", "var_beta"]
         assert float(rows[1][1]) == pytest.approx(0.4)
+        # byte for byte: time %.10g, values %.12g, LF line endings
+        state = classic_clt_covariance(1.5, 0.4, 1.0, 0.01)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for t, i, s, c in zip(state.times, state.infected, state.susceptible,
+                              state.covariance):
+            writer.writerow([f"{t:.10g}", f"{i:.12g}", f"{s:.12g}",
+                             f"{c[0, 0]:.12g}", f"{c[0, 1]:.12g}",
+                             f"{c[1, 1]:.12g}"])
+        assert (out / "homogeneous.csv").read_bytes() == \
+            buf.getvalue().encode()
 
     def test_homogeneous_needs_unit_recovery(self, tmp_path, capsys):
         text = textwrap.dedent(BASE).replace("values = 1.0", "values = 2.0", 1)

@@ -1,9 +1,10 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
-from urnsir.fields import Kernel, ScalarField
+from urnsir.fields import Kernel, ScalarField, sites
 from urnsir.fluctuation import (
     CovarianceTrajectory,
     PanelSeries,
@@ -43,6 +44,24 @@ def flat_spec(lam0=1.7, phi0=0.3, T=1.0):
         N=10,
         T=T,
     )
+
+
+# negative zero, subnormals, values >= 1e16 and digits that %.11g would
+# drop; 0.1 * 3 = 0.30000000000000004 is printed as 0.3 by %.10g
+TIMES = [0.1 * k for k in range(4)] + [1 / 3, 1e16]
+
+
+def awkward_trajectory(m, times):
+    """Symmetric PSD covariances: awkward diagonals, -0.0 and subnormals off
+    the diagonal."""
+    diag = [1e16, 5e-324, 1 / 3, 0.1 * 3, 1.2345678901234567e20, 2 / 3]
+    covs = []
+    for k in range(len(times)):
+        c = np.diag(np.resize(np.roll(diag, k), 2 * m))
+        c[~np.eye(2 * m, dtype=bool)] = -0.0
+        c[0, -1] = c[-1, 0] = 2.5e-310
+        covs.append(c)
+    return CovarianceTrajectory(times=np.asarray(times), covariances=covs, m=m)
 
 
 class TestPanels:
@@ -224,6 +243,40 @@ class TestOutputs:
         last = traj.covariances[-1]
         row = rows[-1]
         assert float(row[4]) == pytest.approx(last[5, 5], rel=1e-10)
+
+    @pytest.mark.parametrize("m, times", [(1, TIMES), (3, TIMES),
+                                          (1, [0.1 * 3]), (3, [1 / 3])])
+    def test_covariance_csv_bytes(self, tmp_path, m, times):
+        """Bytes of csv.writer rows: time, row_u, col_u %.10g; value %.12g."""
+        traj = awkward_trajectory(m, times)
+        path = tmp_path / "cov.csv"
+        write_covariance_csv(traj, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["time", "block", "row_u", "col_u", "value"])
+        nodes = sites(m)
+        for t, c in zip(times, traj.covariances):
+            for name, r0, c0 in (("ee", 0, 0), ("eb", 0, m), ("bb", m, m)):
+                for a in range(m):
+                    for b in range(m):
+                        writer.writerow([f"{t:.10g}", name, f"{nodes[a]:.10g}",
+                                         f"{nodes[b]:.10g}",
+                                         f"{c[r0 + a, c0 + b]:.12g}"])
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    @pytest.mark.parametrize("m, times", [(1, TIMES), (3, [1 / 3])])
+    def test_pair_csv_bytes(self, tmp_path, m, times):
+        traj = awkward_trajectory(m, times)
+        path = tmp_path / "pairs.csv"
+        write_pair_csv(traj, ONE, ONE, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["time", "var_eta_f", "cov_eta_beta", "var_beta_g"])
+        for t, c in zip(times, traj.covariances):
+            v = pair_covariance(c, ONE, ONE, m)
+            writer.writerow([f"{t:.10g}", f"{v[0, 0]:.12g}",
+                             f"{v[0, 1]:.12g}", f"{v[1, 1]:.12g}"])
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_pair_csv_schema(self, tmp_path):
         series = PanelSeries(flat_spec(), 4, 0.25, 0.5)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -293,6 +294,29 @@ class TestFileFormats:
             assert obj["t"] == ev.time
             assert obj["kind"] in ("recovery", "infection")
             assert (obj["source"] is None) == (obj["kind"] == "recovery")
+
+    @pytest.mark.parametrize("n, times", [
+        (1, [-0.0, 5e-324, 0.1 * 3, 1 / 3, 1e16]), (5, [0.1 * 3, 1 / 3]),
+        (1, [0.1 * 3]), (5, [1 / 3]),
+    ])
+    def test_snapshots_csv_bytes(self, tmp_path, n, times):
+        """Bytes of csv.writer rows: time %.10g, urn and state as ints."""
+        spec = uniform_spec(n=n)
+        snaps = tuple(
+            Configuration(states=np.roll(np.resize([1, 0, -1], n), k), time=t)
+            for k, t in enumerate(times)
+        )
+        traj = Trajectory(spec=spec, seed=0, initial=snaps[0], events=(),
+                          snapshots=snaps)
+        path = tmp_path / "snapshots.csv"
+        write_snapshots_csv(traj, path)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["time", "urn", "state"])
+        for snap in snaps:
+            for urn, state in enumerate(snap.states, start=1):
+                writer.writerow([f"{snap.time:.10g}", urn, int(state)])
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_snapshots_csv_schema(self, tmp_path):
         traj = simulate(uniform_spec(n=4), 5, snapshot_times=(0.5, 2.0))

@@ -1,9 +1,10 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
-from urnsir.fields import Kernel, ScalarField
+from urnsir.fields import Kernel, ScalarField, sites
 from urnsir.hydro import (
     DensityBoundsError,
     DensityField,
@@ -226,3 +227,30 @@ def test_density_csv_round_trip(tmp_path):
     assert u == pytest.approx(1.0)
     assert r1 == pytest.approx(field.rho1[-1, -1], rel=1e-10)
     assert r0 == pytest.approx(field.rho0[-1, -1], rel=1e-10)
+
+
+# negative zero, subnormals, values >= 1e16, digits that %.11g would drop,
+# and 0.1 * 3 = 0.30000000000000004, which %.10g prints as 0.3
+AWKWARD = [1 / 3, -0.0, 5e-324, 2.5e-310, 1e16, 1.2345678901234567e20,
+           0.1 * 3, -2 / 3, 0.0, np.inf, -np.inf, np.nan]
+TIMES = [0.1 * k for k in range(4)] + [1 / 3, 1e16]
+
+
+@pytest.mark.parametrize("m, times", [(1, TIMES), (5, TIMES),
+                                      (1, [0.1 * 3]), (5, [1 / 3])])
+def test_density_csv_bytes(tmp_path, m, times):
+    """Bytes of csv.writer rows: time and node_u %.10g, rho %.12g, CRLF."""
+    shape = (len(times), m)
+    field = DensityField(times=times, rho1=np.resize(AWKWARD, shape),
+                         rho0=np.resize(AWKWARD[::-1], shape))
+    path = tmp_path / "density.csv"
+    write_density_csv(field, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["time", "node_u", "rho1", "rho0"])
+    for k, t in enumerate(times):
+        for j, u in enumerate(sites(m)):
+            writer.writerow([f"{t:.10g}", f"{u:.10g}",
+                             f"{field.rho1[k, j]:.12g}",
+                             f"{field.rho0[k, j]:.12g}"])
+    assert path.read_bytes() == buf.getvalue().encode()
