@@ -23,7 +23,8 @@ from .fluctuation import (
     weight_drift,
 )
 from .gillespie import (
-    Event,
+    INFECTION,
+    RECOVERY,
     Simulation,
     Trajectory,
     replay,

@@ -5,6 +5,11 @@ validate {lln|clt|cov|dynkin|oracle}.  Every run reads --config, writes
 CSV/NDJSON into --out, and echoes the resolved model (canonical text,
 spec hash, master seed).  Exit codes: 0 success, 2 configuration error,
 3 failed validation threshold.
+
+``validate`` has no ``construction`` kind on purpose: the clock-construction
+check (``reports.construction_report``) is API-only.  Acceptance check
+``test_02`` and ``perfbench`` call it directly, and wiring it in here would
+add configuration keys that nothing needs.
 """
 
 from __future__ import annotations

@@ -34,7 +34,8 @@ from .model import (
 from .streams import DOMAIN_SIMULATION, derive_rng
 
 __all__ = [
-    "Event",
+    "RECOVERY",
+    "INFECTION",
     "Trajectory",
     "Simulation",
     "simulate",
@@ -45,44 +46,47 @@ __all__ = [
 ]
 
 RECOVERY, INFECTION = 0, 1
-_KIND_NAMES = {RECOVERY: "recovery", INFECTION: "infection"}
-
-
-@dataclass(frozen=True)
-class Event:
-    """One transition: recovery(urn) or infection(urn <- source).
-
-    Urn identifiers are 1-based; ``source`` is None exactly for recoveries.
-    """
-
-    time: float
-    kind: str
-    urn: int
-    source: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("recovery", "infection"):
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if (self.source is None) != (self.kind == "recovery"):
-            raise ValueError("source is required exactly for infections")
+_EVENT_DTYPE = np.dtype(
+    [("time", "f8"), ("kind", "i1"), ("urn", "i4"), ("source", "i4")]
+)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Initial configuration, ordered events, and requested snapshots."""
+    """Initial configuration, ordered events, and requested snapshots.
+
+    ``events`` is one structured array with fields ``time``, ``kind``
+    (RECOVERY or INFECTION), ``urn`` and ``source``; urns are 1-based and
+    ``source`` is 0 exactly for recoveries.  A list of (time, kind, urn,
+    source) tuples is converted.  ``snapshots`` is the
+    (len(snapshot_times), N) int8 state matrix at ``snapshot_times``.
+    """
 
     spec: ModelSpec
     seed: int
     initial: Configuration
-    events: tuple[Event, ...]
-    snapshots: tuple[Configuration, ...]
+    events: np.ndarray
+    snapshot_times: np.ndarray
+    snapshots: np.ndarray
 
     def __post_init__(self) -> None:
-        times = [e.time for e in self.events]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        ev = np.asarray(self.events, dtype=_EVENT_DTYPE)
+        times = np.asarray(self.snapshot_times, dtype=float)
+        snaps = np.asarray(self.snapshots, dtype=np.int8)
+        if snaps.shape != (times.size, self.spec.N):
+            raise ValueError("snapshots must hold one row per snapshot time")
+        kind = ev["kind"]
+        if ev.size and (kind.min() < RECOVERY or kind.max() > INFECTION):
+            raise ValueError("unknown event kind")
+        if np.any((ev["source"] != 0) != (kind == INFECTION)):
+            raise ValueError("source is required exactly for infections")
+        if np.any(np.diff(ev["time"]) <= 0.0):
             raise ValueError("event times must be strictly increasing")
-        if times and times[0] <= self.initial.time:
+        if ev.size and ev["time"][0] <= self.initial.time:
             raise ValueError("events must happen after the initial time")
+        object.__setattr__(self, "events", ev)
+        object.__setattr__(self, "snapshot_times", times)
+        object.__setattr__(self, "snapshots", snaps)
 
 
 class Simulation:
@@ -203,9 +207,6 @@ class Simulation:
             return None
         return self._step_uniform() if self._uniform else self._step_general()
 
-    def configuration(self) -> Configuration:
-        return Configuration(states=self.states.copy(), time=self.time)
-
 
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
@@ -214,11 +215,36 @@ def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     return times
 
 
-def _pre_event_states(sim: Simulation, kind: int, idx: int) -> np.ndarray:
-    # sim.states is already post-event; undo the single change
-    pre = sim.states.copy()
-    pre[idx] = INFECTED if kind == RECOVERY else SUSCEPTIBLE
-    return pre
+def _run(sim: Simulation, times: np.ndarray, log: list | None) -> np.ndarray:
+    """Step ``sim`` and return its (len(times), N) states at ``times``.
+
+    The one snapshot rule: a snapshot at tau shows every event with time
+    <= tau.  With ``log`` every event up to T is appended to it as the
+    engine's (time, kind, idx, src) tuple and stepping runs to T or
+    absorption; without it stepping stops once the last row is filled.
+    """
+    horizon = sim.spec.T
+    out = np.empty((times.size, sim.spec.N), dtype=np.int8)
+    k = 0
+    while k < times.size or log is not None:
+        nxt = sim.step()
+        if nxt is None:
+            break
+        t, kind, idx, _ = nxt
+        if t > horizon or (k < times.size and times[k] < t):
+            # sim.states is already post-event; undo the single change
+            pre = sim.states.copy()
+            pre[idx] = INFECTED if kind == RECOVERY else SUSCEPTIBLE
+            if t > horizon:
+                out[k:] = pre
+                return out
+            while k < times.size and times[k] < t:
+                out[k] = pre
+                k += 1
+        if log is not None:
+            log.append(nxt)
+    out[k:] = sim.states
+    return out
 
 
 def simulate(spec: ModelSpec, seed: int, snapshot_times=()) -> Trajectory:
@@ -229,102 +255,59 @@ def simulate(spec: ModelSpec, seed: int, snapshot_times=()) -> Trajectory:
     """
     times = _check_snapshot_times(spec, snapshot_times)
     sim = Simulation(spec, seed)
-    events: list[Event] = []
-    snapshots: list[Configuration] = []
-    pending = list(times)
-
-    while True:
-        nxt = sim.step()
-        if nxt is None:
-            break
-        t, kind, idx, src = nxt
-        if t > spec.T:
-            if pending:
-                pre = _pre_event_states(sim, kind, idx)
-                while pending:
-                    snapshots.append(
-                        Configuration(states=pre.copy(), time=pending.pop(0))
-                    )
-            break
-        if pending and pending[0] < t:
-            pre = _pre_event_states(sim, kind, idx)
-            while pending and pending[0] < t:
-                snapshots.append(
-                    Configuration(states=pre.copy(), time=pending.pop(0))
-                )
-        events.append(
-            Event(
-                time=t,
-                kind=_KIND_NAMES[kind],
-                urn=idx + 1,
-                source=src + 1 if kind == INFECTION else None,
-            )
-        )
-    while pending:
-        snapshots.append(
-            Configuration(states=sim.states.copy(), time=pending.pop(0))
-        )
+    log: list = []
+    snapshots = _run(sim, times, log)
+    events = np.array(log, dtype=_EVENT_DTYPE)
+    events["urn"] += 1
+    events["source"] += 1
     return Trajectory(
         spec=spec,
         seed=int(seed),
         initial=sim.initial,
-        events=tuple(events),
-        snapshots=tuple(snapshots),
+        events=events,
+        snapshot_times=times,
+        snapshots=snapshots,
     )
 
 
 def snapshot_states(spec: ModelSpec, seed: int, times) -> np.ndarray:
-    """State matrix (len(times), N) without building event objects.
+    """State matrix (len(times), N) without an event log.
 
-    Same engine and draw order as :func:`simulate`, so rows agree with the
-    trajectory snapshots bit for bit; used by ensemble runs where event
-    logs would dominate memory.  Stepping stops once the last row is
-    filled, so a snapshot at t < T does not pay for the rest of [0, T].
+    Same engine, draw order and stepping loop as :func:`simulate`, so rows
+    agree with the trajectory snapshots bit for bit; used by ensemble runs
+    where event logs would dominate memory.  Stepping stops once the last
+    row is filled, so a snapshot at t < T does not pay for the rest of
+    [0, T].
     """
     times = _check_snapshot_times(spec, times)
-    sim = Simulation(spec, seed)
-    out = np.empty((times.size, spec.N), dtype=np.int8)
-    k = 0
-    while k < times.size:
-        nxt = sim.step()
-        if nxt is None:
-            break
-        t, kind, idx, _ = nxt
-        if t > spec.T:
-            out[k:] = _pre_event_states(sim, kind, idx)
-            return out
-        if times[k] < t:
-            pre = _pre_event_states(sim, kind, idx)
-            while k < times.size and times[k] < t:
-                out[k] = pre
-                k += 1
-    out[k:] = sim.states
-    return out
+    return _run(Simulation(spec, seed), times, None)
 
 
-def replay(trajectory: Trajectory, times) -> list[Configuration]:
-    """Configurations at the given times obtained by replaying events."""
+def replay(trajectory: Trajectory, times) -> np.ndarray:
+    """States (len(times), N) at the sorted times, replaying event by event."""
     times = sorted(float(t) for t in times)
     states = trajectory.initial.states.copy()
-    out = []
-    events = iter(trajectory.events)
+    out = np.empty((len(times), states.size), dtype=np.int8)
+    events = iter(trajectory.events.tolist())
     ev = next(events, None)
-    for t in times:
-        while ev is not None and ev.time <= t:
-            states[ev.urn - 1] = REMOVED if ev.kind == "recovery" else INFECTED
+    for k, t in enumerate(times):
+        while ev is not None and ev[0] <= t:
+            _, kind, urn, _ = ev
+            states[urn - 1] = REMOVED if kind == RECOVERY else INFECTED
             ev = next(events, None)
-        out.append(Configuration(states=states.copy(), time=t))
+        out[k] = states
     return out
 
 
 def write_events_ndjson(trajectory: Trajectory, path) -> None:
     """One JSON object per line: {"t", "kind", "urn", "source"}."""
+    names = ("recovery", "infection")
     with open(path, "w") as fh:
-        for ev in trajectory.events:
+        for t, kind, urn, source in trajectory.events.tolist():
             fh.write(
                 json.dumps(
-                    {"t": ev.time, "kind": ev.kind, "urn": ev.urn,
-                     "source": ev.source}
+                    {"t": t, "kind": names[kind], "urn": urn,
+                     "source": source or None}
                 )
                 + "\n"
             )
@@ -333,5 +316,5 @@ def write_events_ndjson(trajectory: Trajectory, path) -> None:
 def write_snapshots_csv(trajectory: Trajectory, path) -> None:
     """Rows time, urn, state for every snapshot and urn."""
     cells = [f"{urn},%d" for urn in range(1, trajectory.spec.N + 1)]
-    blocks = ((snap.time, snap.states) for snap in trajectory.snapshots)
+    blocks = zip(trajectory.snapshot_times.tolist(), trajectory.snapshots)
     write_time_rows(path, ("time", "urn", "state"), cells, blocks)

@@ -169,7 +169,7 @@ class ClockTable:
                 table._rows[(bank, idx)] = row
         if initial is not None:
             arr = np.asarray(initial, dtype=np.int8).copy()
-            if arr.shape != (n,) or not np.isin(arr, (0, 1)).all():
+            if arr.shape != (n,) or arr.min() < 0 or arr.max() > 1:
                 raise ValueError("initial states must be a 0/1 vector")
             arr.setflags(write=False)
             table._initial[bank] = arr
@@ -333,7 +333,7 @@ def state_from_clocks(
     else:
         init = np.asarray(initial, dtype=np.int8)
     n = clocks.spec.N
-    if init.shape != (n,) or not np.isin(init, (0, 1)).all():
+    if init.shape != (n,) or init.min() < 0 or init.max() > 1:
         raise ValueError("initial states must be a 0/1 vector per urn")
     if not 1 <= m <= n:
         raise ValueError("urn out of range")

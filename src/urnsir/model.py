@@ -97,7 +97,7 @@ class Configuration:
         arr = np.asarray(self.states, dtype=np.int8)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("states must be a nonempty vector")
-        if not np.isin(arr, (-1, 0, 1)).all():
+        if arr.min() < -1 or arr.max() > 1:
             raise ValueError("states must lie in {-1, 0, 1}")
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "time", float(self.time))

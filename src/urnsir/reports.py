@@ -27,7 +27,7 @@ from scipy import stats
 from .ensemble import EnsembleSpec, run_clock_ensemble, run_ensemble
 from .fields import ScalarField, TestFunction
 from .fluctuation import PanelSeries, evolve_covariance, pair_covariance
-from .gillespie import simulate
+from .gillespie import RECOVERY, simulate
 from .hydro import GridSpec, solve_density
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec
 from .oracle import (
@@ -412,54 +412,51 @@ def clt_report(
 
 
 def _dynkin_walk(model: ModelSpec, seed: int, t: float, fv: np.ndarray,
-                 grid: np.ndarray, left: np.ndarray, right: np.ndarray):
+                 grid: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 sp_sum: np.ndarray):
     """One replica: exact event-time integrals plus grid samples of S.p.
 
-    Returns (raw0, rawt, lint, qv, sp_grid) where lint integrates the
-    generator term (1/sqrt N) sum f S p, qv integrates the quadratic
-    variation rate (1/N) sum f^2 S p, and sp_grid[k] holds the vector
-    S * pressure at grid time k (state right-continuous at event times).
-    The pressure p = left @ (inf @ right) / N comes from the kernel's
-    site factors and is recomputed exactly after every event.
+    Returns (raw0, rawt, lint, qv) where lint integrates the generator
+    term (1/sqrt N) sum f S p and qv integrates the quadratic variation
+    rate (1/N) sum f^2 S p; adds to sp_sum[k] the vector S * pressure in
+    the trajectory's snapshot at grid time k.  The pressure
+    p = left @ (inf @ right) / N comes from the kernel's site factors and
+    is recomputed exactly after every event.
     """
     n = model.N
     sqrt_n = math.sqrt(n)
-    traj = simulate(model, seed)
+    traj = simulate(model, seed, snapshot_times=grid)
+    for k, row in enumerate(traj.snapshots):
+        inf = (row == INFECTED).astype(float)
+        sp_sum[k] += (row == SUSCEPTIBLE) * (left.dot(inf.dot(right)) / n)
     sus = (traj.initial.states == SUSCEPTIBLE).astype(float)
     inf = (traj.initial.states == INFECTED).astype(float)
     pressure = left.dot(inf.dot(right)) / n
     raw0 = float(fv @ sus) / sqrt_n
-    sp_grid = np.empty((grid.size, n))
-    gi = 0
+    fv2 = fv**2
     cur = 0.0
     lint = 0.0
     qv = 0.0
-    for ev in traj.events:
-        te = ev.time
+    ev = traj.events
+    for te, kind, urn in zip(ev["time"].tolist(), ev["kind"].tolist(),
+                             ev["urn"].tolist()):
         sp = sus * pressure
-        while gi < grid.size and grid[gi] < te - 1e-12:
-            sp_grid[gi] = sp
-            gi += 1
         dur = te - cur
         lint += dur * float(fv @ sp) / sqrt_n
-        qv += dur * float((fv**2) @ sp) / n
-        idx = ev.urn - 1
-        if ev.kind == "recovery":
-            inf[idx] = 0.0
+        qv += dur * float(fv2 @ sp) / n
+        if kind == RECOVERY:
+            inf[urn - 1] = 0.0
         else:
-            sus[idx] = 0.0
-            inf[idx] = 1.0
+            sus[urn - 1] = 0.0
+            inf[urn - 1] = 1.0
         pressure = left.dot(inf.dot(right)) / n
         cur = te
     sp = sus * pressure
-    while gi < grid.size:
-        sp_grid[gi] = sp
-        gi += 1
     dur = t - cur
     lint += dur * float(fv @ sp) / sqrt_n
-    qv += dur * float((fv**2) @ sp) / n
+    qv += dur * float(fv2 @ sp) / n
     rawt = float(fv @ sus) / sqrt_n
-    return raw0, rawt, lint, qv, sp_grid
+    return raw0, rawt, lint, qv
 
 
 def dynkin_report(
@@ -500,10 +497,10 @@ def dynkin_report(
     sp_sum = np.zeros((grid.size, n))
 
     for r in range(replicas):
-        raw0[r], rawt[r], lint[r], qv[r], sp = _dynkin_walk(
-            spec_t, replica_seed(master_seed, r), t, fv, grid, left, right
+        raw0[r], rawt[r], lint[r], qv[r] = _dynkin_walk(
+            spec_t, replica_seed(master_seed, r), t, fv, grid, left, right,
+            sp_sum,
         )
-        sp_sum += sp
 
     g_mean = sp_sum / replicas
     delta = _trapezoid(g_mean @ fv / math.sqrt(n), grid)

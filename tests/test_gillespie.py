@@ -8,7 +8,8 @@ from scipy import stats
 
 from urnsir.fields import Kernel, ScalarField
 from urnsir.gillespie import (
-    Event,
+    INFECTION,
+    RECOVERY,
     Simulation,
     Trajectory,
     replay,
@@ -57,40 +58,58 @@ def walk_and_check(traj):
     """Replay events while asserting every structural event invariant."""
     states = traj.initial.states.copy()
     last_t = traj.initial.time
-    for ev in traj.events:
-        assert ev.time > last_t
-        last_t = ev.time
-        if ev.kind == "recovery":
-            assert ev.source is None
-            assert states[ev.urn - 1] == INFECTED
-            states[ev.urn - 1] = REMOVED
+    for t, kind, urn, source in traj.events.tolist():
+        assert t > last_t
+        last_t = t
+        if kind == RECOVERY:
+            assert source == 0
+            assert states[urn - 1] == INFECTED
+            states[urn - 1] = REMOVED
         else:
-            assert ev.source is not None and ev.source != ev.urn
-            assert states[ev.urn - 1] == SUSCEPTIBLE
-            assert states[ev.source - 1] == INFECTED
-            states[ev.urn - 1] = INFECTED
+            assert kind == INFECTION
+            assert source != 0 and source != urn
+            assert states[urn - 1] == SUSCEPTIBLE
+            assert states[source - 1] == INFECTED
+            states[urn - 1] = INFECTED
     assert last_t <= traj.spec.T
     return states
 
 
+def trajectory(events, n=2, snapshot_times=(), snapshots=None):
+    """Hand-built trajectory; events are (time, kind, urn, source) rows."""
+    init = Configuration(states=np.resize([1, 0], n), time=0.0)
+    if snapshots is None:
+        snapshots = np.zeros((len(snapshot_times), n), dtype=np.int8)
+    return Trajectory(spec=uniform_spec(n=n), seed=0, initial=init,
+                      events=events, snapshot_times=snapshot_times,
+                      snapshots=snapshots)
+
+
 class TestEventObjects:
     def test_kind_and_source_validation(self):
-        with pytest.raises(ValueError):
-            Event(time=1.0, kind="mutation", urn=1)
-        with pytest.raises(ValueError):
-            Event(time=1.0, kind="recovery", urn=1, source=2)
-        with pytest.raises(ValueError):
-            Event(time=1.0, kind="infection", urn=1)
+        trajectory([(1.0, RECOVERY, 1, 0), (1.5, INFECTION, 2, 1)])
+        with pytest.raises(ValueError, match="kind"):
+            trajectory([(1.0, 2, 1, 0)])
+        with pytest.raises(ValueError, match="kind"):
+            trajectory([(1.0, -1, 1, 0)])
+        with pytest.raises(ValueError, match="source"):
+            trajectory([(1.0, RECOVERY, 1, 2)])
+        with pytest.raises(ValueError, match="source"):
+            trajectory([(1.0, INFECTION, 1, 0)])
 
     def test_trajectory_orders_events(self):
-        spec = uniform_spec(n=2)
-        init = Configuration(states=np.array([1, 0], dtype=np.int8), time=0.0)
-        evs = (
-            Event(time=0.5, kind="recovery", urn=1),
-            Event(time=0.3, kind="infection", urn=2, source=1),
-        )
-        with pytest.raises(ValueError):
-            Trajectory(spec=spec, seed=0, initial=init, events=evs, snapshots=())
+        with pytest.raises(ValueError, match="increasing"):
+            trajectory([(0.5, RECOVERY, 1, 0), (0.3, INFECTION, 2, 1)])
+        with pytest.raises(ValueError, match="increasing"):
+            trajectory([(0.5, RECOVERY, 1, 0), (0.5, INFECTION, 2, 1)])
+        with pytest.raises(ValueError, match="initial time"):
+            trajectory([(0.0, RECOVERY, 1, 0)])
+
+    def test_snapshot_rows_match_times(self):
+        trajectory([], snapshot_times=(0.5, 1.0))
+        with pytest.raises(ValueError, match="snapshot"):
+            trajectory([], snapshot_times=(0.5,),
+                       snapshots=np.zeros((2, 2), dtype=np.int8))
 
 
 class TestEngines:
@@ -111,10 +130,9 @@ class TestEngines:
     def test_deterministic_in_seed(self, spec):
         a = simulate(spec, 11, snapshot_times=(0.7, 2.0))
         b = simulate(spec, 11, snapshot_times=(0.7, 2.0))
-        assert a.events == b.events
-        for sa, sb in zip(a.snapshots, b.snapshots):
-            np.testing.assert_array_equal(sa.states, sb.states)
-        assert simulate(spec, 12).events != a.events
+        np.testing.assert_array_equal(a.events, b.events)
+        np.testing.assert_array_equal(a.snapshots, b.snapshots)
+        assert not np.array_equal(simulate(spec, 12).events, a.events)
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_event_invariants(self, spec):
@@ -150,10 +168,9 @@ class TestEngines:
         infections = 0
         for seed in range(50):
             traj = simulate(spec, seed)
-            for ev in traj.events:
-                if ev.kind == "infection":
-                    infections += 1
-                    assert not immune[ev.urn - 1]
+            infected = traj.events["urn"][traj.events["kind"] == INFECTION]
+            infections += infected.size
+            assert not immune[infected - 1].any()
         assert infections > 0
 
     def test_absorption_stops_iteration(self):
@@ -174,7 +191,7 @@ class TestLaws:
         for seed in range(4000):
             traj = simulate(spec, seed)
             assert len(traj.events) == 1
-            times.append(traj.events[0].time)
+            times.append(traj.events["time"][0])
         res = stats.kstest(times, "expon", args=(0.0, 1.0 / psi0))
         assert res.pvalue > 1e-3
 
@@ -187,7 +204,7 @@ class TestLaws:
             N=1,
             T=50.0,
         )
-        times = [simulate(spec, seed).events[0].time for seed in range(4000)]
+        times = [simulate(spec, seed).events["time"][0] for seed in range(4000)]
         res = stats.kstest(times, "expon", args=(0.0, 1.0))
         assert res.pvalue > 1e-3
 
@@ -225,32 +242,33 @@ class TestSnapshots:
     def test_snapshots_match_replay(self, spec):
         times = (0.0, 0.5, 1.1, 2.0)
         traj = simulate(spec, 21, snapshot_times=times)
-        assert [s.time for s in traj.snapshots] == list(times)
-        for snap, ref in zip(traj.snapshots, replay(traj, times)):
-            np.testing.assert_array_equal(snap.states, ref.states)
+        assert traj.snapshot_times.tolist() == list(times)
+        assert traj.snapshots.shape == (len(times), spec.N)
+        np.testing.assert_array_equal(traj.snapshots, replay(traj, times))
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_snapshot_exactly_at_event_includes_it(self, spec):
         first = simulate(spec, 33)
         assert len(first.events) >= 2
-        t_ev = first.events[1].time
+        t_ev = first.events["time"][1]
         traj = simulate(spec, 33, snapshot_times=(t_ev,))
-        ref = replay(first, (t_ev,))[0]
-        np.testing.assert_array_equal(traj.snapshots[0].states, ref.states)
+        ref = replay(first, (t_ev,))
+        np.testing.assert_array_equal(traj.snapshots, ref)
+        assert not np.array_equal(ref, replay(first, (np.nextafter(t_ev, 0),)))
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_snapshot_states_agrees_with_trajectory(self, spec):
         times = (0.25, 0.9, 1.7)
         traj = simulate(spec, 44, snapshot_times=times)
         rows = snapshot_states(spec, 44, times)
-        for k, snap in enumerate(traj.snapshots):
-            np.testing.assert_array_equal(rows[k], snap.states)
+        assert rows.shape == (len(times), spec.N)
+        np.testing.assert_array_equal(rows, traj.snapshots)
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_snapshot_states_stops_after_last_row(self, spec, monkeypatch):
         t = 0.4
         traj = simulate(spec, 44)
-        before = sum(ev.time <= t for ev in traj.events)
+        before = int((traj.events["time"] <= t).sum())
         assert len(traj.events) > before + 1
         calls = []
         step = Simulation.step
@@ -262,7 +280,7 @@ class TestSnapshots:
         monkeypatch.setattr(Simulation, "step", counted)
         rows = snapshot_states(spec, 44, (t,))
         assert len(calls) <= 1 + before
-        np.testing.assert_array_equal(rows[0], replay(traj, (t,))[0].states)
+        np.testing.assert_array_equal(rows, replay(traj, (t,)))
         calls.clear()
         assert snapshot_states(spec, 44, ()).shape == (0, spec.N)
         assert not calls
@@ -278,7 +296,7 @@ class TestSnapshots:
         spec = uniform_spec(n=3, T=100.0)
         traj = simulate(spec, 7, snapshot_times=(100.0,))
         final = walk_and_check(traj)
-        np.testing.assert_array_equal(traj.snapshots[0].states, final)
+        np.testing.assert_array_equal(traj.snapshots[0], final)
 
 
 class TestFileFormats:
@@ -291,9 +309,27 @@ class TestFileFormats:
         for line, ev in zip(lines, traj.events):
             obj = json.loads(line)
             assert set(obj) == {"t", "kind", "urn", "source"}
-            assert obj["t"] == ev.time
+            assert obj["t"] == ev["time"]
             assert obj["kind"] in ("recovery", "infection")
             assert (obj["source"] is None) == (obj["kind"] == "recovery")
+
+    def test_events_ndjson_bytes(self, tmp_path):
+        """Bytes of json.dumps of the documented schema, LF-terminated."""
+        events = [
+            (5e-324, INFECTION, 2, 1), (0.1 * 3, RECOVERY, 1, 0),
+            (1 / 3, INFECTION, 3, 2), (1e16, RECOVERY, 2, 0),
+        ]
+        path = tmp_path / "events.ndjson"
+        write_events_ndjson(trajectory(events, n=3), path)
+        expected = "".join(
+            json.dumps({"t": t, "kind": kind, "urn": urn, "source": source})
+            + "\n"
+            for t, kind, urn, source in (
+                (5e-324, "infection", 2, 1), (0.1 * 3, "recovery", 1, None),
+                (1 / 3, "infection", 3, 2), (1e16, "recovery", 2, None),
+            )
+        )
+        assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("n, times", [
         (1, [-0.0, 5e-324, 0.1 * 3, 1 / 3, 1e16]), (5, [0.1 * 3, 1 / 3]),
@@ -302,20 +338,19 @@ class TestFileFormats:
     def test_snapshots_csv_bytes(self, tmp_path, n, times):
         """Bytes of csv.writer rows: time %.10g, urn and state as ints."""
         spec = uniform_spec(n=n)
-        snaps = tuple(
-            Configuration(states=np.roll(np.resize([1, 0, -1], n), k), time=t)
-            for k, t in enumerate(times)
-        )
-        traj = Trajectory(spec=spec, seed=0, initial=snaps[0], events=(),
-                          snapshots=snaps)
+        snaps = np.array([np.roll(np.resize([1, 0, -1], n), k)
+                          for k in range(len(times))], dtype=np.int8)
+        init = Configuration(states=snaps[0], time=times[0])
+        traj = Trajectory(spec=spec, seed=0, initial=init, events=[],
+                          snapshot_times=times, snapshots=snaps)
         path = tmp_path / "snapshots.csv"
         write_snapshots_csv(traj, path)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["time", "urn", "state"])
-        for snap in snaps:
-            for urn, state in enumerate(snap.states, start=1):
-                writer.writerow([f"{snap.time:.10g}", urn, int(state)])
+        for t, snap in zip(times, snaps):
+            for urn, state in enumerate(snap, start=1):
+                writer.writerow([f"{t:.10g}", urn, int(state)])
         assert path.read_bytes() == buf.getvalue().encode()
 
     def test_snapshots_csv_schema(self, tmp_path):

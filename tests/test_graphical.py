@@ -204,6 +204,8 @@ class TestStateFromClocks:
         with pytest.raises(ValueError):
             state_from_clocks(tab, [0, -1, 1], 1, 1.0)
         with pytest.raises(ValueError):
+            state_from_clocks(tab, [0, 2, 1], 1, 1.0)
+        with pytest.raises(ValueError):
             state_from_clocks(tab, [0, 0, 1], 4, 1.0)
 
 

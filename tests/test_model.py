@@ -79,6 +79,8 @@ class TestConfiguration:
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):
             Configuration(states=np.array([2, 0], dtype=np.int8), time=0.0)
+        with pytest.raises(ValueError):
+            Configuration(states=np.array([0, -2], dtype=np.int8), time=0.0)
 
 
 class TestSampleInitial:
