@@ -12,15 +12,11 @@ from .ensemble import EnsembleResult, EnsembleSpec, run_clock_ensemble, run_ense
 from .fields import Kernel, ScalarField, TestFunction, sites
 from .fluctuation import (
     CovarianceTrajectory,
-    OperatorPanel,
     PanelSeries,
-    build_operator_panel,
     evolve_covariance,
     initial_covariance,
-    noise_matrix,
     pair_covariance,
     propagate,
-    weight_drift,
 )
 from .gillespie import (
     INFECTION,

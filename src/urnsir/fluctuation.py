@@ -21,20 +21,27 @@ quadrature.  Fields are represented by dual weight vectors w with
 eta(f) = (1/M) w . f_nodes, so function-space operators act through their
 transposes, giving the 2M x 2M weight drift
 
-    S = [[A0^T - Apsi, A1^T], [-A0^T, -A1^T]]
+    S = [[A0^T - diag psi, diag kappa1], [-A0^T, -diag kappa1]],
 
-and the noise covariance density (in weight coordinates)
+kappa1 = Integral lambda(., v) rho1(t, v) dv, and the noise covariance
+density (in weight coordinates)
 
     Q = [[M diag(b^2 + alpha^2), -M diag(alpha^2)],
          [-M diag(alpha^2),       M diag(alpha^2)]].
 
-Covariances evolve by the Lyapunov equation dC/dt = S C + C S^T + Q from
-C(0) = [[D, -D], [-D, D]], D = M diag(phi (1 - phi)); pairings are
-Cov(eta(f), beta(g)) = (1/M^2) f^T C_eb g.  Integration is
-:func:`urnsir.rk4.rk4`, the one fixed-step classical fourth-order
-integrator of the package; the density is solved on a half-step grid so the
-midpoint-stage operator panels exist without interpolation and the scheme
-keeps its order.
+With the kernel's exact rank-r site factors (:meth:`Kernel.factors`),
+A0^T = diag(rho0/M) left right^T, so S y costs one rank-r product and
+diagonal scalings (:meth:`PanelSeries.drift`); no M x M or 2M x 2M operator
+matrix is formed.  Covariances evolve by the Lyapunov equation
+dC/dt = S C + C S^T + Q from C(0) = [[D, -D], [-D, D]],
+D = M diag(phi (1 - phi)), with pairings
+Cov(eta(f), beta(g)) = (1/M^2) f^T C_eb g.  For symmetric C the right-hand
+side is X + X^T + Q with X = S C, exactly symmetric, so each step relies on
+a symmetric C(0) (an asymmetric one is rejected with the stored
+trajectory); Q adds only to the diagonals of the four M x M blocks.  The
+integrator is :func:`urnsir.rk4.rk4`; the density is solved on a half-step
+grid so the midpoint-stage drift exists without interpolation and the
+scheme keeps its order.
 """
 
 from __future__ import annotations
@@ -45,15 +52,11 @@ import numpy as np
 
 from .csvout import write_time_rows
 from .fields import TestFunction, sites
-from .hydro import DensityField, GridSpec, solve_density
+from .hydro import GridSpec, solve_density
 from .model import ModelSpec
 from .rk4 import rk4, time_index, time_steps
 
 __all__ = [
-    "OperatorPanel",
-    "build_operator_panel",
-    "weight_drift",
-    "noise_matrix",
     "PanelSeries",
     "propagate",
     "initial_covariance",
@@ -68,79 +71,14 @@ SYMMETRY_TOL = 1e-10
 PSD_FLOOR = -1e-8
 
 
-@dataclass(frozen=True)
-class OperatorPanel:
-    """Drift/noise ingredients frozen at one density-grid time."""
-
-    t: float
-    psi: np.ndarray  # (M,) recovery rates at the nodes
-    kappa1: np.ndarray  # (M,) A1 diagonal: node-sum of lambda(u, .) rho1
-    a0: np.ndarray  # (M, M) matrix of A0 in function space
-    b2: np.ndarray  # (M,) recovery noise amplitude psi * rho1
-    alpha2: np.ndarray  # (M,) infection noise amplitude rho0 * kappa1
-
-    @property
-    def m(self) -> int:
-        return self.kappa1.size
-
-
-def _panel_at_index(spec: ModelSpec, density: DensityField, idx: int
-                    ) -> OperatorPanel:
-    m = density.m
-    rho1 = density.rho1[idx]
-    rho0 = density.rho0[idx]
-    psi = spec.psi.at_sites(m)
-    kappa1 = spec.lam.node_average(rho1)
-    lam_site = spec.lam.site_matrix(m)
-    a0 = lam_site.T * (rho0 / m)[None, :]
-    return OperatorPanel(
-        t=float(density.times[idx]),
-        psi=psi,
-        kappa1=kappa1,
-        a0=a0,
-        b2=psi * rho1,
-        alpha2=rho0 * kappa1,
-    )
-
-
-def build_operator_panel(
-    spec: ModelSpec, density: DensityField, t: float
-) -> OperatorPanel:
-    """Panel at a stored density time; off-grid t raises."""
-    return _panel_at_index(spec, density, density.index_of(t))
-
-
-def weight_drift(panel: OperatorPanel) -> np.ndarray:
-    """2M x 2M drift acting on stacked dual weights (w_eta, w_beta)."""
-    m = panel.m
-    a0t = panel.a0.T
-    s = np.zeros((2 * m, 2 * m))
-    s[:m, :m] = a0t - np.diag(panel.psi)
-    s[:m, m:] = np.diag(panel.kappa1)
-    s[m:, :m] = -a0t
-    s[m:, m:] = -np.diag(panel.kappa1)
-    return s
-
-
-def noise_matrix(panel: OperatorPanel) -> np.ndarray:
-    """Instantaneous noise covariance density in weight coordinates."""
-    m = panel.m
-    q = np.zeros((2 * m, 2 * m))
-    top = m * (panel.b2 + panel.alpha2)
-    cross = m * panel.alpha2
-    q[:m, :m] = np.diag(top)
-    q[:m, m:] = -np.diag(cross)
-    q[m:, :m] = -np.diag(cross)
-    q[m:, m:] = np.diag(cross)
-    return q
-
-
 class PanelSeries:
-    """Operator panels on a shared time grid, including half steps.
+    """The density and the drift and noise vectors of every half step.
 
     The density is solved with step dt/2 so that the classical fourth-order
     stages (which need the drift at step midpoints) read exact grid values
-    instead of interpolating.
+    instead of interpolating.  ``kappa1``, ``b2``, ``alpha2`` and ``rho0_m``
+    hold one (M,) row per half step j, time j * dt/2; ``psi`` and the kernel
+    factors ``left``, ``right`` do not depend on time.
     """
 
     def __init__(self, spec: ModelSpec, m: int, dt: float, T: float):
@@ -150,26 +88,26 @@ class PanelSeries:
         half = self.dt / 2.0 if self.n_steps else self.dt
         self.density = solve_density(spec, GridSpec(M=m, dt=half, T=T))
         self.m = m
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        rho1, rho0 = self.density.rho1, self.density.rho0
+        self.psi = spec.psi.at_sites(m)
+        self.kappa1 = spec.lam.node_average(rho1)
+        self.b2 = self.psi * rho1
+        self.alpha2 = rho0 * self.kappa1
+        self.rho0_m = rho0 / m
+        self.left, self.right = spec.lam.factors(m)
 
-    def half_operators(self, half_index: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(weight_drift, noise_matrix) of the panel at half_index * dt/2.
-
-        Each pair is built once; the last four stay cached, enough for the
-        stages of one RK4 step (half steps 2k, 2k+1, 2k+1, 2k+2).
-        """
-        ops = self._cache.get(half_index)
-        if ops is None:
-            panel = _panel_at_index(self.spec, self.density, half_index)
-            ops = (weight_drift(panel), noise_matrix(panel))
-            self._cache[half_index] = ops
-            if len(self._cache) > 4:
-                self._cache.pop(next(iter(self._cache)))
-        return ops
-
-    def panel(self, t: float) -> OperatorPanel:
-        return build_operator_panel(self.spec, self.density, t)
+    def drift(self, j: int, y: np.ndarray) -> np.ndarray:
+        """S y at half step j for stacked weight columns y, (2M, K)."""
+        m = self.m
+        top, bottom = y[:m], y[m:]
+        # infections move weight from beta to eta: A0^T top + kappa1 bottom
+        gain = self.left.dot(self.right.T.dot(top))
+        gain *= self.rho0_m[j][:, None]
+        gain += self.kappa1[j][:, None] * bottom
+        out = np.empty_like(y)
+        np.subtract(gain, self.psi[:, None] * top, out=out[:m])
+        np.negative(gain, out=out[m:])
+        return out
 
     def step_index(self, t: float) -> int:
         idx = int(round(t / self.dt)) if self.dt else 0
@@ -190,12 +128,8 @@ def propagate(series: PanelSeries, s: float, t: float) -> np.ndarray:
     b = series.step_index(t)
     if b < a:
         raise ValueError("propagation runs forward in time")
-
-    def drift(y, j):
-        return series.half_operators(j)[0] @ y
-
     y = np.eye(2 * series.m)
-    for y in rk4(drift, y, series.dt, a, b):
+    for y in rk4(lambda y, j: series.drift(j, y), y, series.dt, a, b):
         pass
     return y
 
@@ -271,11 +205,18 @@ def evolve_covariance(
     times = [0.0]
     stored = [c]
 
-    def rhs(mat: np.ndarray, half_index: int) -> np.ndarray:
-        s, q = series.half_operators(half_index)
-        out = s @ mat + mat @ s.T
+    top = np.arange(m)
+    bottom = top + m
+
+    def rhs(mat: np.ndarray, j: int) -> np.ndarray:
+        x = series.drift(j, mat)
+        out = x + x.T
         if include_noise:
-            out = out + q
+            cross = m * series.alpha2[j]
+            out[top, top] += m * (series.b2[j] + series.alpha2[j])
+            out[bottom, bottom] += cross
+            out[top, bottom] -= cross
+            out[bottom, top] -= cross
         return out
 
     for k, c in enumerate(rk4(rhs, c, h, 0, n), 1):

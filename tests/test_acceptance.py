@@ -262,3 +262,33 @@ def test_10_martingale_residual_heterogeneous():
             f"mean residual {by_name['mean_residual'].value:+.5f} within 3 SE, "
             f"Var/QV {by_name['var_over_qv'].value:.3f} in [0.85, 1.15] "
             f"({elapsed:.0f}s)")
+
+
+def test_11_fluctuation_variances_and_normality_heterogeneous():
+    # f = 1 would make eta a count over sqrt(N), lattice-valued at N = 200,
+    # which the KS test resolves; the affine f and g spread it
+    spec = ModelSpec(
+        lam=Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4], [1.4, 2.6, 3.0]]),
+        psi=ScalarField.affine(0.5, 1.0),
+        phi=ScalarField.affine(0.1, 0.4),
+        N=200,
+        T=1.0,
+    )
+    f = ScalarField.affine(0.5, 1.0)
+    t0 = time.time()
+    rep = clt_report(
+        spec, MASTER_SEED, f=f, g=f, t=1.0, replicas=2000, m_grid=200,
+        dt=1e-3,
+    )
+    by_name = {r.statistic: r for r in rep.records}
+    elapsed = time.time() - t0
+    ok = (rep.passed
+          and abs(by_name["var_eta_ratio"].value - 1.0) <= 0.10
+          and abs(by_name["var_beta_ratio"].value - 1.0) <= 0.10
+          and by_name["ks_pvalue"].value > 0.01
+          and elapsed < 90)
+    verdict(ok, "clt heterogeneous",
+            f"var ratios {by_name['var_eta_ratio'].value:.3f}/"
+            f"{by_name['var_beta_ratio'].value:.3f} (each 1 +/- 0.10), "
+            f"KS p {by_name['ks_pvalue'].value:.3f} (>0.01), "
+            f"initial var in band ({elapsed:.0f}s)")

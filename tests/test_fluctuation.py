@@ -8,18 +8,16 @@ from urnsir.fields import Kernel, ScalarField, sites
 from urnsir.fluctuation import (
     CovarianceTrajectory,
     PanelSeries,
-    build_operator_panel,
     evolve_covariance,
     initial_covariance,
-    noise_matrix,
     pair_covariance,
     propagate,
-    weight_drift,
     write_covariance_csv,
     write_pair_csv,
 )
 from urnsir.homogeneous import classic_clt_covariance
 from urnsir.model import ModelSpec
+from urnsir.rk4 import rk4
 
 ONE = ScalarField.constant(1.0)
 
@@ -64,52 +62,110 @@ def awkward_trajectory(m, times):
     return CovarianceTrajectory(times=np.asarray(times), covariances=covs, m=m)
 
 
-class TestPanels:
-    def test_panel_shapes_and_values(self):
-        spec = hetero_spec()
+def kernel_spec(lam):
+    return ModelSpec(lam=lam, psi=ScalarField.affine(0.7, 0.4),
+                     phi=ScalarField.affine(0.2, 0.3), N=10, T=1.0)
+
+
+KERNELS = {
+    "constant": Kernel.constant(1.7),
+    "separable": Kernel.separable(ScalarField.affine(0.8, 0.6),
+                                  ScalarField.affine(1.2, -0.5)),
+    # not symmetric, so swapping target and source changes A0
+    "table": Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4],
+                           [1.4, 2.6, 3.0]]),
+}
+
+
+def dense_operators(series, j):
+    """S and Q of half step j from the block formulas of the module
+    docstring, with lambda evaluated pointwise on the node grid."""
+    m = series.m
+    u = sites(m)
+    lam = series.spec.lam(u[:, None], u[None, :])  # [target, source]
+    rho1 = series.density.rho1[j]
+    rho0 = series.density.rho0[j]
+    psi = series.spec.psi(u)
+    kappa1 = lam @ rho1 / m
+    # (A0 f)(u) = (1/M) sum_v lambda(v, u) rho0(v) f(v)
+    a0 = lam.T * (rho0 / m)[None, :]
+    alpha2 = rho0 * kappa1
+    s = np.block([[a0.T - np.diag(psi), np.diag(kappa1)],
+                  [-a0.T, -np.diag(kappa1)]])
+    q = m * np.block([[np.diag(psi * rho1 + alpha2), -np.diag(alpha2)],
+                      [-np.diag(alpha2), np.diag(alpha2)]])
+    return s, q
+
+
+class TestDrift:
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_drift_matches_dense_reference(self, name):
+        series = PanelSeries(kernel_spec(KERNELS[name]), 6, 0.1, 1.0)
+        last = 2 * series.n_steps
+        y = np.random.default_rng(3).uniform(-1.0, 1.0, (12, 12))
+        for j in (0, 7, last):
+            s, _ = dense_operators(series, j)
+            want = s @ y
+            # relative to the largest entry: single entries cancel
+            np.testing.assert_allclose(series.drift(j, y), want, rtol=1e-14,
+                                       atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("include_noise", [True, False])
+    def test_evolution_matches_dense_lyapunov_solve(self, name,
+                                                    include_noise):
+        # the singular C(0) keeps the noise-free RK4 solution PSD only to
+        # about dt^4, so dt is small enough for the trajectory's PSD check
+        series = PanelSeries(kernel_spec(KERNELS[name]), 5, 0.01, 1.0)
+        traj = evolve_covariance(series, store_every=1,
+                                 include_noise=include_noise)
+
+        def rhs(c, j):
+            s, q = dense_operators(series, j)
+            return s @ c + c @ s.T + (q if include_noise else 0.0)
+
+        c0 = initial_covariance(series.spec, 5)
+        expect = np.asarray([c0] + list(rk4(rhs, c0, series.dt, 0,
+                                            series.n_steps)))
+        scale = np.max(np.abs(expect))
+        assert np.max(np.abs(traj.covariances - expect)) < 1e-13 * scale
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_half_step_vectors_match_definitions(self, name):
+        spec = kernel_spec(KERNELS[name])
         series = PanelSeries(spec, 6, 0.1, 1.0)
-        panel = series.panel(0.0)
-        assert panel.m == 6
-        rho1 = series.density.rho1[0]
-        rho0 = series.density.rho0[0]
-        np.testing.assert_allclose(panel.b2, panel.psi * rho1, atol=1e-15)
-        np.testing.assert_allclose(
-            panel.alpha2, rho0 * panel.kappa1, atol=1e-15
-        )
-        np.testing.assert_allclose(
-            panel.kappa1, spec.lam.node_average(rho1), atol=1e-15
-        )
+        u = sites(6)
+        lam = spec.lam(u[:, None], u[None, :])
+        psi = spec.psi(u)
+        rho1, rho0 = series.density.rho1, series.density.rho0
+        assert rho1.shape == (2 * series.n_steps + 1, 6)
+        for j in range(rho1.shape[0]):
+            np.testing.assert_allclose(series.kappa1[j], lam @ rho1[j] / 6,
+                                       rtol=1e-14)
+            np.testing.assert_array_equal(series.b2[j], psi * rho1[j])
+            np.testing.assert_array_equal(series.alpha2[j],
+                                          rho0[j] * series.kappa1[j])
 
-    def test_off_grid_time_raises(self):
-        series = PanelSeries(hetero_spec(), 4, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            build_operator_panel(series.spec, series.density, 0.123)
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_noise_amplitudes_nonnegative(self, name):
+        # b2, alpha2 >= 0 make Q = M [[b2 + a2, -a2], [-a2, a2]] (diagonal
+        # blocks) positive semidefinite
+        series = PanelSeries(kernel_spec(KERNELS[name]), 5, 0.1, 1.0)
+        assert series.b2.min() >= 0.0 and series.alpha2.min() >= 0.0
+        for j in (0, 2 * series.n_steps):
+            _, q = dense_operators(series, j)
+            assert np.linalg.eigvalsh(q).min() > -1e-12
 
-    def test_weight_drift_blocks(self):
-        panel = PanelSeries(hetero_spec(), 3, 0.1, 1.0).panel(0.0)
-        s = weight_drift(panel)
-        m = 3
-        a0t = panel.a0.T
-        np.testing.assert_array_equal(s[:m, :m], a0t - np.diag(panel.psi))
-        np.testing.assert_array_equal(s[:m, m:], np.diag(panel.kappa1))
-        np.testing.assert_array_equal(s[m:, :m], -a0t)
-        np.testing.assert_array_equal(s[m:, m:], -np.diag(panel.kappa1))
+    def test_no_kernel_evaluation_after_setup(self, monkeypatch):
+        series = PanelSeries(kernel_spec(KERNELS["table"]), 6, 0.1, 1.0)
 
-    def test_noise_cross_block_cancels_infection_part(self):
-        # the infection noise enters eta and beta with opposite signs, so
-        # the cross block must be the negated beta block entry for entry
-        panel = PanelSeries(hetero_spec(), 5, 0.1, 1.0).panel(0.5)
-        q = noise_matrix(panel)
-        m = 5
-        np.testing.assert_array_equal(q[:m, m:], -q[m:, m:])
-        np.testing.assert_array_equal(q[m:, :m], -q[m:, m:])
-        assert np.all(np.diag(q[:m, :m]) >= np.diag(q[m:, m:]) - 1e-15)
-        np.testing.assert_array_equal(q, q.T)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel evaluated after set-up")
 
-    def test_noise_is_psd(self):
-        panel = PanelSeries(hetero_spec(), 5, 0.1, 1.0).panel(1.0)
-        eigs = np.linalg.eigvalsh(noise_matrix(panel))
-        assert eigs.min() > -1e-12
+        for name in ("__call__", "site_matrix", "node_average"):
+            monkeypatch.setattr(Kernel, name, forbidden)
+        evolve_covariance(series)
+        propagate(series, 0.2, 1.0)
 
 
 class TestPropagator:
@@ -127,6 +183,11 @@ class TestPropagator:
         series = PanelSeries(hetero_spec(), 4, 0.05, 1.0)
         with pytest.raises(ValueError):
             propagate(series, 0.5, 0.2)
+
+    def test_off_grid_time_rejected(self):
+        series = PanelSeries(hetero_spec(), 4, 0.1, 1.0)
+        with pytest.raises(ValueError, match="not on the evolution grid"):
+            propagate(series, 0.123, 0.5)
 
     def test_noise_free_evolution_is_flow_conjugation(self):
         # the two integrations only agree to integrator order; the defect
@@ -223,8 +284,12 @@ class TestCovariance:
 
     def test_bad_initial_shape_rejected(self):
         series = PanelSeries(hetero_spec(), 4, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            evolve_covariance(series, c0=np.eye(3))
+        # the X + X^T step needs a symmetric C(0)
+        asymmetric = initial_covariance(series.spec, 4)
+        asymmetric[0, 5] += 0.5
+        for c0 in (np.eye(3), asymmetric):
+            with pytest.raises(ValueError):
+                evolve_covariance(series, c0=c0)
 
 
 class TestOutputs:
