@@ -76,7 +76,7 @@ for line in (root / "check" / "validate_oracle.csv").read_text().splitlines()[:5
 
 # A failed threshold flips the exit code to 3 rather than hiding.
 strict = root / "strict.ini"
-strict.write_text(CONFIG + "oracle_min_fraction = 1.01\n")
+strict.write_text(CONFIG + "oracle_alpha = 1.0\n")
 code = main(["validate", "oracle", "--config", str(strict),
              "--out", str(root / "strict_out")])
 print(f"\nwith an impossible threshold the same run exits {code}")

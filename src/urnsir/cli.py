@@ -196,7 +196,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         replicas = args.replicas or v("oracle_replicas")
         reports.append(oracle_report(
             model, seed, times=tuple(v("oracle_times")), replicas=replicas,
-            min_fraction=v("oracle_min_fraction"),
+            alpha=v("oracle_alpha"),
         ))
     _echo(cfg, seed)
     ok = True

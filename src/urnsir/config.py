@@ -65,7 +65,7 @@ VALIDATE_DEFAULTS: dict = {
     "dynkin_var_hi": 1.15,
     "oracle_times": (0.5, 1.0),
     "oracle_replicas": 100_000,
-    "oracle_min_fraction": 0.99,
+    "oracle_alpha": 1e-3,
 }
 
 

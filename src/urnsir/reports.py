@@ -547,19 +547,44 @@ def dynkin_report(
 # exact-oracle and construction comparisons
 
 
+def _chi_square(counts: np.ndarray, expected: np.ndarray):
+    """Pearson chi-square (statistic, dof, p-value) of counts vs expectations.
+
+    Cells with expectation < 5 are pooled into one cell.  A count in a cell
+    of expectation 0 is impossible under the model and gives p = 0.
+    """
+    if np.any((expected == 0) & (counts > 0)):
+        return math.inf, 0, 0.0
+    big = expected >= 5.0
+    obs = counts[big].astype(float)
+    exp = expected[big]
+    if (~big).any() and expected[~big].sum() > 0:
+        obs = np.append(obs, counts[~big].sum())
+        exp = np.append(exp, expected[~big].sum())
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    dof = obs.size - 1
+    return stat, dof, float(stats.chi2.sf(stat, dof)) if dof > 0 else 1.0
+
+
 def oracle_report(
     model: ModelSpec,
     master_seed: int,
     *,
     times: tuple = (0.5, 1.0),
     replicas: int = 100_000,
-    min_fraction: float = 0.99,
+    alpha: float = 1e-3,
 ) -> Report:
-    """Joint state frequencies vs uniformization, 3-sigma multinomial bands.
+    """Joint state frequencies vs uniformization, one chi-square test per time.
 
-    Passes when at least ``min_fraction`` of (state, time) cells sit
-    inside their band.
+    At each time the 3^N joint-state counts are compared with ``replicas``
+    times the exact law by Pearson's chi-square, cells with expectation
+    < 5 pooled into one.  The report passes when every time's p-value is
+    at least alpha / len(times), so a correct simulator fails it with
+    probability at most about ``alpha`` (Bonferroni over the times, to the
+    accuracy of the chi-square approximation).
     """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
     gen = build_generator(model)
     init = initial_distribution(model)
     ens = EnsembleSpec(
@@ -567,37 +592,35 @@ def oracle_report(
         snapshot_times=tuple(times),
     )
     result = run_ensemble(ens)
+    level = alpha / len(ens.snapshot_times)
     records: list[ReportRecord] = []
     lines: list[str] = []
-    in_band = 0
-    total = 0
+    ok = True
     for k, t in enumerate(ens.snapshot_times):
         dist = transient_distribution(gen, init, t)
         counts = result.state_counts(k)
         expected = replicas * dist
-        sig = np.sqrt(replicas * dist * (1.0 - dist))
         delta = counts - expected
-        ok = np.abs(delta) <= 3.0 * sig + 1e-12
-        in_band += int(ok.sum())
-        total += ok.size
-        worst = int(np.argmax(np.abs(delta) - 3.0 * sig))
+        stat, dof, p = _chi_square(counts, expected)
+        ok = ok and p >= level
         for idx in range(dist.size):
             records.append(
                 ReportRecord("oracle", model.N, t, f"state_{idx}_delta",
-                             float(delta[idx]), float(3.0 * sig[idx]),
-                             master_seed)
+                             float(delta[idx]), None, master_seed)
             )
+        records.extend([
+            ReportRecord("oracle", model.N, t, "chi2_statistic", stat, None,
+                         master_seed),
+            ReportRecord("oracle", model.N, t, "chi2_dof", float(dof), None,
+                         master_seed),
+            ReportRecord("oracle", model.N, t, "chi2_pvalue", p, level,
+                         master_seed),
+        ])
         lines.append(
-            f"t={t:g}: {int(ok.sum())}/{ok.size} states in band;"
-            f" worst state {worst} delta {delta[worst]:+.1f}"
-            f" (band {3.0 * sig[worst]:.1f})"
+            f"t={t:g}: chi-square {stat:.2f} on {dof} dof, p = {p:.4f}"
+            f" (need >= {level:g})"
         )
-    fraction = in_band / total
-    records.append(ReportRecord("oracle", model.N, 0.0, "fraction_in_band",
-                                fraction, min_fraction, master_seed))
-    lines.append(f"fraction in band: {fraction:.4f} (need >= {min_fraction})")
-    return Report("oracle", fraction >= min_fraction, tuple(records),
-                  tuple(lines))
+    return Report("oracle", ok, tuple(records), tuple(lines))
 
 
 def construction_report(

@@ -344,7 +344,7 @@ class TestCli:
             [validate]
             oracle_times = 0.5
             oracle_replicas = 500
-            oracle_min_fraction = 1.01
+            oracle_alpha = 1.0
             """)
         code = main(["validate", "oracle", "--config", cfg,
                      "--out", str(tmp_path / "out"), "--seed", "5"])

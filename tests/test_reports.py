@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from urnsir.fields import Kernel, ScalarField
 from urnsir.model import ModelSpec
@@ -18,6 +19,7 @@ from urnsir.reports import (
     oracle_report,
     write_report_csv,
 )
+from urnsir.reports import _chi_square
 
 ZERO = ScalarField.constant(0.0)
 SEED = 404
@@ -134,18 +136,38 @@ class TestOracleAndConstruction:
             flat(n=3, T=1.0), SEED, times=(0.5,), replicas=20_000
         )
         assert rep.passed
-        frac = [r for r in rep.records if r.statistic == "fraction_in_band"][0]
-        assert frac.value >= frac.bound
-        # 27 per-state deltas plus the pooled fraction
-        assert len(rep.records) == 27 + 1
+        by_name = {r.statistic: r for r in rep.records}
+        assert by_name["chi2_pvalue"].value >= by_name["chi2_pvalue"].bound
+        assert by_name["chi2_pvalue"].bound == 1e-3
+        # 27 per-state deltas plus the statistic, its dof and its p-value
+        assert len(rep.records) == 27 + 3
 
-    def test_unreachable_fraction_fails(self):
+    def test_alpha_is_split_over_times(self):
         rep = oracle_report(
-            flat(n=2, T=1.0), SEED, times=(0.5,), replicas=2000,
-            min_fraction=1.01,
+            flat(n=2, T=1.0), SEED, times=(0.5, 1.0), replicas=2000,
+            alpha=0.01,
+        )
+        bounds = [r.bound for r in rep.records if r.statistic == "chi2_pvalue"]
+        assert bounds == [0.005, 0.005]
+
+    def test_unit_alpha_fails(self):
+        rep = oracle_report(
+            flat(n=2, T=1.0), SEED, times=(0.5,), replicas=2000, alpha=1.0,
         )
         assert not rep.passed
         assert rep.summary() == "[FAIL] oracle"
+        with pytest.raises(ValueError):
+            oracle_report(flat(n=2, T=1.0), SEED, times=(0.5,), alpha=0.0)
+
+    def test_chi_square_pools_small_cells(self):
+        counts = np.array([52, 48, 3, 1, 0])
+        expected = np.array([50.0, 50.0, 2.0, 1.5, 0.5])
+        stat, dof, p = _chi_square(counts, expected)
+        # cells 3..5 pool into one of expectation 4 holding 4 counts
+        assert dof == 2
+        assert stat == pytest.approx(0.08 + 0.08 + 0.0)
+        assert p == pytest.approx(stats.chi2.sf(0.16, 2))
+        assert _chi_square(np.array([9, 1]), np.array([10.0, 0.0]))[2] == 0.0
 
     def test_construction_marginals_agree(self):
         rep = construction_report(
