@@ -39,6 +39,7 @@ for u in (0.25, 0.5, 0.75, 1.0):
 target = density.total_infected(t)
 print(f"\nlimit total infected fraction: {target:.5f}\n")
 
+# Each rung runs replicas 0..99 of master seed 5, stepped in lockstep.
 print("   N    mean |mu_N - limit|    x sqrt(N)")
 for n in (64, 256, 1024):
     spec = ModelSpec(lam=lam, psi=psi, phi=phi, N=n, T=t)

@@ -43,7 +43,9 @@ for t in (0.0, 0.5, 1.0):
     print(f"  {t:4.1f}  {block[0, 0]:8.5f}    {block[0, 1]:8.5f}"
           f"   {block[1, 1]:8.5f}")
 
-# Monte Carlo check at N=1000: sample the centered fields directly.
+# Monte Carlo check at N=1000: sample the centered fields directly.  The
+# 400 replicas of master seed 31 are stepped together, one event each per
+# step, with one vectorised block of random words per step.
 res = run_ensemble(
     EnsembleSpec(spec, replicas=400, master_seed=31, snapshot_times=(1.0,)),
 )

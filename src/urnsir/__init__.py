@@ -23,6 +23,7 @@ from .gillespie import (
     RECOVERY,
     Simulation,
     Trajectory,
+    lockstep_states,
     replay,
     simulate,
     snapshot_states,
@@ -33,6 +34,7 @@ from .graphical import (
     ClockTable,
     CoupledQuadruple,
     InfluenceSet,
+    clock_states,
     coupled_quadruple,
     influence_set,
     state_from_clocks,
@@ -54,6 +56,7 @@ from .model import (
     ModelSpec,
     empirical_fields,
     fluctuation_fields,
+    initial_states,
     sample_initial,
 )
 from .oracle import (
@@ -81,6 +84,6 @@ from .reports import (
     oracle_report,
     write_report_csv,
 )
-from .streams import derive_rng, replica_seed
+from .streams import derive_rng
 
 __version__ = "0.1.0"

@@ -84,6 +84,8 @@ def _require_seed(cfg: RunConfig, override: int | None) -> int:
         raise ConfigError(
             "a master seed is required: set [ensemble] master_seed or --seed"
         )
+    if not 0 <= seed < 2**64:
+        raise ConfigError("the master seed must lie in [0, 2^64)")
     return seed
 
 

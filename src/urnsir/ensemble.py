@@ -1,8 +1,13 @@
-"""Replica ensembles with reproducible per-replica streams.
+"""Replica ensembles: all replicas of (spec, master_seed) at once.
 
-A run is fully determined by (spec, master_seed).  Replica r simulates
-with seed ``replica_seed(master_seed, r)`` and writes its own
-preallocated slot; every reduction happens afterwards in replica order.
+A run is fully determined by (spec, master_seed).  Replica r draws from the
+streams keyed (master_seed, r), so its rows equal the single trajectory
+``snapshot_states(spec, master_seed, times, replica=r)`` bit for bit and
+growing an ensemble keeps every existing replica.  ``run_ensemble`` steps
+batches of replicas in lockstep and ``run_clock_ensemble`` evaluates the
+clock tables of a batch at once; a batch holds at most ``BATCH_CELLS``
+replica-urn state cells (replica-urn-urn cells for clock tables), which
+bounds memory.  Reductions happen afterwards in replica order.
 """
 
 from __future__ import annotations
@@ -12,18 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import TestFunction
-from .gillespie import snapshot_states
-from .graphical import ClockTable, state_from_clocks
+from .gillespie import lockstep_states, snapshot_states
+from .graphical import clock_states, state_from_clocks
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec
 from .rk4 import time_index
-from .streams import replica_seed
 
 __all__ = [
     "EnsembleSpec",
     "EnsembleResult",
     "run_ensemble",
     "run_clock_ensemble",
+    # one replica of either ensemble, re-exported
+    "snapshot_states",
+    "state_from_clocks",
 ]
+
+BATCH_CELLS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -123,13 +132,21 @@ class EnsembleResult:
         return np.bincount(self.state_codes(k), minlength=3 ** n)
 
 
+def _batches(replicas: int, cells_per_replica: int):
+    size = max(1, BATCH_CELLS // cells_per_replica)
+    for lo in range(0, replicas, size):
+        yield lo, np.arange(lo, min(replicas, lo + size))
+
+
 def run_ensemble(ens: EnsembleSpec) -> EnsembleResult:
-    """Simulate all replicas; deterministic given the master seed."""
+    """Simulate all replicas in lockstep; deterministic given the master seed."""
     model = ens.model
     times = ens.snapshot_times
     out = np.empty((ens.replicas, len(times), model.N), dtype=np.int8)
-    for r in range(ens.replicas):
-        out[r] = snapshot_states(model, replica_seed(ens.master_seed, r), times)
+    for lo, rows in _batches(ens.replicas, model.N):
+        out[lo:lo + rows.size] = lockstep_states(
+            model, ens.master_seed, rows, times
+        )
     return EnsembleResult(spec=ens, states=out)
 
 
@@ -138,15 +155,13 @@ def run_clock_ensemble(
 ) -> np.ndarray:
     """States at time t from the clock construction, one row per replica.
 
-    Each replica draws its own clock table (bank 1) and evaluates every
-    urn's state from the clock-path rule; law should match run_ensemble.
+    Replica r uses the bank-1 clock table of (master_seed, r), whose initial
+    states are those of replica r of run_ensemble; the law should match
+    run_ensemble's.
     """
     if not 0.0 <= t <= model.T:
         raise ValueError("t outside [0, T]")
     out = np.empty((replicas, model.N), dtype=np.int8)
-    for r in range(replicas):
-        clocks = ClockTable(model, replica_seed(master_seed, r))
-        initial = clocks.initial_states(bank=1)
-        for m in range(1, model.N + 1):
-            out[r, m - 1] = state_from_clocks(clocks, initial, m, t)
+    for lo, rows in _batches(replicas, model.N ** 2):
+        out[lo:lo + rows.size] = clock_states(model, master_seed, rows, t)
     return out

@@ -12,7 +12,15 @@ exactly 0.
 When both the kernel and the recovery rate are constants, urn identity does
 not affect rates and the engine switches to an O(1)-per-event membership
 list scheme.  The engine choice is a deterministic function of the model
-spec, so the contract "same (spec, seed) -> same trajectory" always holds.
+spec.
+
+One engine steps any number of replicas of (spec, seed) in lockstep, one
+event each per step.  Replica r's draws come from the streams keyed
+(seed, r) (see :mod:`urnsir.streams`): its initial states from the
+initial-state stream, event s from block s + 1 of its simulation stream.
+The arithmetic of a row does not depend on the other rows, so
+:class:`Simulation`, :func:`simulate` and :func:`snapshot_states`, the
+batch of one, give replica r of an ensemble bit for bit.
 """
 
 from __future__ import annotations
@@ -29,9 +37,17 @@ from .model import (
     ModelSpec,
     REMOVED,
     SUSCEPTIBLE,
+    initial_states,
     sample_initial,
 )
-from .streams import DOMAIN_SIMULATION, derive_rng
+from .streams import (
+    CHUNK,
+    DOMAIN_SIMULATION,
+    derive_rng,
+    exponentials,
+    replica_words,
+    uniforms,
+)
 
 __all__ = [
     "RECOVERY",
@@ -40,6 +56,7 @@ __all__ = [
     "Simulation",
     "simulate",
     "snapshot_states",
+    "lockstep_states",
     "replay",
     "write_events_ndjson",
     "write_snapshots_csv",
@@ -68,6 +85,7 @@ class Trajectory:
     events: np.ndarray
     snapshot_times: np.ndarray
     snapshots: np.ndarray
+    replica: int = 0
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.events, dtype=_EVENT_DTYPE)
@@ -89,123 +107,283 @@ class Trajectory:
         object.__setattr__(self, "snapshots", snaps)
 
 
-class Simulation:
-    """Mutable simulation state advancing one event per :meth:`step`."""
+def _search(cum: np.ndarray, pos):
+    """Per row, the first index whose running sum exceeds pos, at most N - 1.
 
-    def __init__(self, spec: ModelSpec, seed: int):
+    ``searchsorted(row, pos, side="right")`` on each nondecreasing row: a
+    single row calls it, a batch counts with one comparison.
+    """
+    last = cum.shape[-1] - 1
+    if cum.ndim == 1:
+        return min(int(cum.searchsorted(pos, side="right")), last)
+    return np.minimum((cum <= pos[:, None]).sum(axis=1), last)
+
+
+class _Engine:
+    """Jump chains of replicas of one model, stepped in lockstep.
+
+    ``replicas`` is one replica number, giving (N,) states and scalar
+    per-row values, or an array of them, giving (R, N) states and (R,)
+    values.  The rate arithmetic is the same code for both; the per-row
+    bookkeeping has a scalar form and an array form that compute the same
+    numbers.  No arithmetic mixes rows, so a replica's trajectory does not
+    depend on the batch it is stepped in.  Every row advances one event per
+    step, so all rows sit at the same event count, and step s reads block
+    s + 1 of each row's simulation stream: the holding time from word 0,
+    the target from word 1, the infection source from words 2 and 3.  A
+    single replica reads its stream through numpy's Philox, one block of
+    events per call; a batch uses the vectorised evaluator.  Both give the
+    same words.
+    """
+
+    def __init__(self, spec: ModelSpec, seed: int, replicas, states):
         self.spec = spec
         self.seed = int(seed)
-        self.initial = sample_initial(spec, seed)
-        self.states = self.initial.states.copy()
-        self.time = 0.0
-        self.absorbed = False
-        self.rng = derive_rng(seed, DOMAIN_SIMULATION)
-        self._lam0 = spec.lam.constant_value()
-        self._psi0 = spec.psi.constant_value()
-        self._uniform = self._lam0 is not None and self._psi0 is not None
-        if self._uniform:
-            self._init_uniform()
+        self.replicas = np.asarray(replicas, dtype=np.int64)
+        self.states = np.array(states, dtype=np.int8)
+        if self.states.shape != (*self.replicas.shape, spec.N):
+            raise ValueError("need one state row per replica")
+        batch = self.replicas.ndim == 1
+        self.time = np.zeros(self.replicas.shape) if batch else 0.0
+        self.steps = 0
+        # per-row index prefix: all rows of a batch, nothing for one replica
+        self._ix = (np.arange(self.replicas.size),) if batch else ()
+        self._rng = None if batch else derive_rng(
+            seed, DOMAIN_SIMULATION, replica=int(self.replicas)
+        )
+        self._pos = self._size = 0
+        lam0 = spec.lam.constant_value()
+        psi0 = spec.psi.constant_value()
+        self.uniform = lam0 is not None and psi0 is not None
+        if self.uniform:
+            self._init_uniform(lam0, psi0)
         else:
             self._init_general()
 
+    def _draw(self):
+        """This step's exponential and three uniforms (target, source) per row."""
+        if self._pos == self._size:
+            # no replica makes more than 2N events, plus one past T
+            blocks = max(1, min(CHUNK // self.replicas.size,
+                                2 * self.spec.N + 1 - self.steps))
+            if self._rng is not None:
+                words = self._rng.bit_generator.random_raw(4 * blocks)
+            else:
+                words = replica_words(
+                    self.seed, self.replicas, 4 * blocks, DOMAIN_SIMULATION,
+                    first_block=self.steps + 1,
+                )
+            words = words.reshape(*self.replicas.shape, blocks, 4)
+            self._exp = exponentials(words[..., 0])
+            self._uni = uniforms(words[..., 1:])
+            self._pos, self._size = 0, blocks
+        pos = self._pos
+        self._pos += 1
+        self.steps += 1
+        # .T[i] indexes the last axis and gives scalars for one replica
+        return self._exp.T[pos], self._uni[..., pos, :]
+
+    def propose(self, source: bool = False):
+        """Every row's next event, not yet applied: (time, urn, recovery, src).
+
+        Urns are 0-based.  The time is infinite for a row with no event
+        left (absorbed).  The infection source ``src`` is drawn only for a
+        single replica that asks for it (otherwise None): the states do not
+        depend on it, and it reads the event's own words either way.
+        """
+        exp, uni = self._draw()
+        if self._ix:
+            with np.errstate(divide="ignore"):
+                propose = (self._propose_uniform if self.uniform
+                           else self._propose_general)
+                return propose(exp, uni, False)
+        if self.uniform:
+            return self._propose_uniform(exp, uni, source)
+        return self._propose_general(exp, uni, source)
+
+    def apply(self, time, urn, recovery) -> None:
+        """Apply one proposed event to every row."""
+        if self._ix:
+            rows = self._ix[0]
+            if self.uniform:
+                self._delist(self._ix, recovery.astype(np.int64), urn)
+                infection = ~recovery
+                self._enlist((rows[infection],), 1, urn[infection])
+            else:
+                self._inf[rows, urn] = ~recovery
+                self._sus[rows, urn] = 0.0
+            self.states[rows, urn] = INFECTED - 2 * recovery
+        else:
+            if self.uniform:
+                self._delist((), 1 if recovery else 0, urn)
+                if not recovery:
+                    self._enlist((), 1, urn)
+            else:
+                self._inf[urn] = 0.0 if recovery else 1.0
+                self._sus[urn] = 0.0
+            self.states[urn] = REMOVED if recovery else INFECTED
+        self.time = time
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows of a batch where ``mask`` is False."""
+        self.replicas = self.replicas[mask]
+        self.states = self.states[mask]
+        self.time = self.time[mask]
+        self._ix = (np.arange(self.replicas.size),)
+        self._exp = self._exp[mask]
+        self._uni = self._uni[mask]
+        if self.uniform:
+            self._members = self._members[mask]
+            self._slot = self._slot[mask]
+            self._counts = self._counts[mask]
+        else:
+            self._inf = self._inf[mask]
+            self._sus = self._sus[mask]
+
     # -- constant-rate path -------------------------------------------------
 
-    def _init_uniform(self) -> None:
+    def _init_uniform(self, lam0: float, psi0: float) -> None:
         n = self.spec.N
-        # membership lists: group 0 susceptibles, group 1 infected
-        self._members = np.empty((2, n), dtype=np.int64)
-        self._counts = [0, 0]
-        self._slot = np.full(n, -1, dtype=np.int64)
-        for idx in range(n):
-            st = self.states[idx]
-            if st != REMOVED:
-                self._enlist(0 if st == SUSCEPTIBLE else 1, idx)
+        states = self.states.reshape(-1, n)
+        self._lam0, self._psi0 = lam0, psi0
+        # membership lists in urn order: group 0 susceptibles, 1 infected
+        members = np.zeros((len(states), 2, n), dtype=np.int32)
+        slot = np.full((len(states), n), -1, dtype=np.int32)
+        counts = np.zeros((len(states), 2), dtype=np.int64)
+        for group, state in ((0, SUSCEPTIBLE), (1, INFECTED)):
+            mask = states == state
+            pos = np.cumsum(mask, axis=1) - 1
+            rows, urns = np.nonzero(mask)
+            members[rows, group, pos[rows, urns]] = urns
+            slot[rows, urns] = pos[rows, urns]
+            counts[:, group] = mask.sum(axis=1)
+        shape = self.replicas.shape
+        self._members = members.reshape(*shape, 2, n)
+        self._slot = slot.reshape(*shape, n)
+        self._counts = counts.reshape(*shape, 2)
 
-    def _enlist(self, group: int, idx: int) -> None:
-        pos = self._counts[group]
-        self._members[group, pos] = idx
-        self._slot[idx] = pos
-        self._counts[group] += 1
+    def _enlist(self, ix, group, urn) -> None:
+        pos = self._counts[(*ix, group)]
+        self._members[(*ix, group, pos)] = urn
+        self._slot[(*ix, urn)] = pos
+        self._counts[(*ix, group)] = pos + 1
 
-    def _delist(self, group: int, idx: int) -> None:
-        pos = self._slot[idx]
-        last = self._counts[group] - 1
-        mover = self._members[group, last]
-        self._members[group, pos] = mover
-        self._slot[mover] = pos
-        self._counts[group] = last
-        self._slot[idx] = -1
+    def _delist(self, ix, group, urn) -> None:
+        pos = self._slot[(*ix, urn)]
+        last = self._counts[(*ix, group)] - 1
+        mover = self._members[(*ix, group, last)]
+        self._members[(*ix, group, pos)] = mover
+        self._slot[(*ix, mover)] = pos
+        self._counts[(*ix, group)] = last
+        self._slot[(*ix, urn)] = -1
 
-    def _step_uniform(self):
-        n_sus, n_inf = self._counts
+    def _propose_uniform(self, exp, uni, source):
+        # the same arithmetic on Python numbers for one replica, on arrays
+        # for a batch: a recovery takes the k-th infected urn, an infection
+        # the k-th susceptible one, and rounding can reach a list's length
+        # but not pass it
+        n_sus, n_inf = self._counts.T if self._ix else self._counts.tolist()
         total_rec = self._psi0 * n_inf
         pressure = self._lam0 * n_inf / self.spec.N
         total = total_rec + pressure * n_sus
-        if total <= 0.0:
-            self.absorbed = True
-            return None
-        self.time += self.rng.exponential() / total
-        u = self.rng.random() * total
-        if u < total_rec:
-            k = min(int(u / self._psi0), n_inf - 1)
-            idx = int(self._members[1, k])
-            self._delist(1, idx)
-            self.states[idx] = REMOVED
-            return self.time, RECOVERY, idx, -1
-        k = min(int((u - total_rec) / pressure), n_sus - 1)
-        idx = int(self._members[0, k])
-        j = min(int(self.rng.random() * n_inf), n_inf - 1)
-        src = int(self._members[1, j])
-        self._delist(0, idx)
-        self._enlist(1, idx)
-        self.states[idx] = INFECTED
-        return self.time, INFECTION, idx, src
+        u = uni.T[0] * total
+        recovery = u < total_rec
+        if not self._ix:
+            if total <= 0.0:
+                return np.inf, 0, False, None
+            if recovery:
+                urn = self._members[1, min(int(u / self._psi0), n_inf - 1)]
+                return self.time + exp / total, urn, recovery, None
+            k = min(int((u - total_rec) / pressure), n_sus - 1)
+            src = None
+            if source:
+                src = self._members[1, min(int(uni[1] * n_inf), n_inf - 1)]
+            return self.time + exp / total, self._members[0, k], recovery, src
+        group = recovery.astype(np.int64)
+        # absorbed rows (total 0) get a harmless k
+        rate = np.where(total > 0.0, np.where(recovery, self._psi0, pressure),
+                        1.0)
+        offset = np.where(recovery, 0.0, total_rec)
+        k = np.minimum(((u - offset) / rate).astype(np.int64),
+                       self._counts[self._ix[0], group] - 1)
+        urn = self._members[self._ix[0], group, k]
+        return self.time + exp / total, urn, recovery, None
 
     # -- general path -------------------------------------------------------
 
     def _init_general(self) -> None:
         n = self.spec.N
-        self._psi_sites = self.spec.psi.at_sites(n)
         left, right = self.spec.lam.factors(n)
-        self._left = left / n
-        self._right = right
+        self._psi_sites = self.spec.psi.at_sites(n)
+        self._left_t = np.ascontiguousarray((left / n).T)
+        self._right_t = np.ascontiguousarray(right.T)
+        self._inf = (self.states == INFECTED).astype(float)
+        self._sus = (self.states == SUSCEPTIBLE).astype(float)
 
-    def _step_general(self):
-        inf_mask = self.states == INFECTED
-        pressure = self._left.dot(inf_mask.dot(self._right))
-        rates = np.where(
-            inf_mask,
-            self._psi_sites,
-            np.where(self.states == SUSCEPTIBLE, pressure, 0.0),
-        )
-        cum = np.cumsum(rates)
-        total = cum[-1]
-        if total <= 0.0:
-            self.absorbed = True
-            return None
-        n = self.spec.N
-        self.time += self.rng.exponential() / total
-        u = self.rng.random() * total
-        idx = min(int(np.searchsorted(cum, u, side="right")), n - 1)
-        if self.states[idx] == INFECTED:
-            self.states[idx] = REMOVED
-            return self.time, RECOVERY, idx, -1
-        weights = np.cumsum(self._right.dot(self._left[idx]) * inf_mask)
-        src = min(
-            int(np.searchsorted(
-                weights, self.rng.random() * weights[-1], side="right"
-            )),
-            n - 1,
-        )
-        self.states[idx] = INFECTED
-        return self.time, INFECTION, idx, src
+    def _propose_general(self, exp, uni, source):
+        inf = self._inf
+        # pressure = left @ (inf @ right) / N, row by row: one dot product
+        # per row and component (the same BLAS call whatever the batch),
+        # then the r components summed in order, elementwise
+        c = np.vecdot(inf[..., None, :], self._right_t)
+        rates = np.einsum("...a,an->...n", c, self._left_t)
+        rates *= self._sus
+        rates += self._psi_sites * inf
+        cum = np.add.accumulate(rates, axis=-1)
+        total = cum.T[-1]
+        urn = _search(cum, uni.T[0] * total)
+        recovery = inf[(*self._ix, urn)] > 0.0
+        src = None
+        if source and not recovery:
+            # the infector j of urn i has weight sum_a left[i, a] right[j, a]
+            # over the infected j: pick component a with weight
+            # left[i, a] c[a], then j with weight right[j, a]
+            cum = np.add.accumulate(self._left_t[:, urn] * c)
+            a = _search(cum, uni[2] * cum[-1])
+            cum = np.add.accumulate(self._right_t[a] * inf)
+            src = _search(cum, uni[1] * cum[-1])
+        if self._ix or total > 0.0:
+            return self.time + exp / total, urn, recovery, src
+        return np.inf, urn, recovery, src
+
+
+class Simulation:
+    """One replica's jump chain, advancing one event per :meth:`step`.
+
+    The batch of one of the lockstep engine: replica ``replica`` of
+    (spec, seed) makes the same draws and arithmetic here as in row
+    ``replica`` of an ensemble.
+    """
+
+    def __init__(self, spec: ModelSpec, seed: int, replica: int = 0):
+        self.spec = spec
+        self.seed = int(seed)
+        self.replica = int(replica)
+        self.initial = sample_initial(spec, seed, replica)
+        self._engine = _Engine(spec, seed, replica, self.initial.states)
+        self.absorbed = False
+
+    @property
+    def states(self) -> np.ndarray:
+        return self._engine.states
+
+    @property
+    def time(self) -> float:
+        return float(self._engine.time)
 
     def step(self):
         """Advance one event; returns (time, kind, urn_idx, source_idx) with
         0-based indices (source -1 for recoveries), or None once absorbed."""
         if self.absorbed:
             return None
-        return self._step_uniform() if self._uniform else self._step_general()
+        time, urn, recovery, src = self._engine.propose(source=True)
+        if time == np.inf:
+            self.absorbed = True
+            return None
+        self._engine.apply(time, urn, recovery)
+        if recovery:
+            return float(time), RECOVERY, int(urn), -1
+        return float(time), INFECTION, int(urn), int(src)
 
 
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
@@ -215,48 +393,77 @@ def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     return times
 
 
-def _run(sim: Simulation, times: np.ndarray, log: list | None) -> np.ndarray:
-    """Step ``sim`` and return its (len(times), N) states at ``times``.
+def _run(engine: _Engine, times: np.ndarray, log: list | None) -> np.ndarray:
+    """Step a one-replica ``engine``; its (len(times), N) states at ``times``.
 
     The one snapshot rule: a snapshot at tau shows every event with time
     <= tau.  With ``log`` every event up to T is appended to it as the
-    engine's (time, kind, idx, src) tuple and stepping runs to T or
-    absorption; without it stepping stops once the last row is filled.
+    engine's (time, kind, idx, src) tuple, 0-based, and stepping runs to T
+    or absorption; without it stepping stops once the last row is filled.
+    :func:`_run_lockstep` is the same rule for a batch.
     """
-    horizon = sim.spec.T
-    out = np.empty((times.size, sim.spec.N), dtype=np.int8)
+    horizon = engine.spec.T
+    out = np.empty((times.size, engine.spec.N), dtype=np.int8)
     k = 0
     while k < times.size or log is not None:
-        nxt = sim.step()
-        if nxt is None:
+        time, urn, recovery, src = engine.propose(source=log is not None)
+        if time > horizon:  # absorbed rows propose time inf
             break
-        t, kind, idx, _ = nxt
-        if t > horizon or (k < times.size and times[k] < t):
-            # sim.states is already post-event; undo the single change
-            pre = sim.states.copy()
-            pre[idx] = INFECTED if kind == RECOVERY else SUSCEPTIBLE
-            if t > horizon:
-                out[k:] = pre
-                return out
-            while k < times.size and times[k] < t:
-                out[k] = pre
-                k += 1
+        while k < times.size and times[k] < time:
+            out[k] = engine.states
+            k += 1
+        engine.apply(time, urn, recovery)
         if log is not None:
-            log.append(nxt)
-    out[k:] = sim.states
+            log.append((time, RECOVERY, urn, -1) if recovery
+                       else (time, INFECTION, urn, src))
+    out[k:] = engine.states
     return out
 
 
-def simulate(spec: ModelSpec, seed: int, snapshot_times=()) -> Trajectory:
-    """Run one trajectory on [0, T]; deterministic in (spec, seed).
+def _run_lockstep(engine: _Engine, times: np.ndarray) -> np.ndarray:
+    """Step a batch ``engine``; its (R, len(times), N) states at ``times``.
+
+    The snapshot rule of :func:`_run`, one step for all rows at a time.  A
+    row retires once its next event falls after T (or it is absorbed) or
+    its last snapshot row is filled; the batch shrinks to the rows left.
+    """
+    horizon = engine.spec.T
+    n_rows, n = engine.states.shape
+    out = np.empty((n_rows, times.size, n), dtype=np.int8)
+    # marks[k]: the time past which a row's next event fills snapshot k
+    marks = np.minimum(times, horizon)
+    live = np.arange(n_rows)
+    k = np.zeros(n_rows, dtype=np.int64)
+    while live.size and times.size:
+        time, urn, recovery, _ = engine.propose()
+        if (time > marks[k]).any():
+            j = np.where(time > horizon, times.size,
+                         np.searchsorted(times, time, side="left"))
+            for q in range(int(k.min()), int(j.max())):
+                rows = np.flatnonzero((k <= q) & (q < j))
+                out[live[rows], q] = engine.states[rows]
+            k = j
+            keep = k < times.size
+            if not keep.all():
+                engine.keep(keep)
+                live, k = live[keep], k[keep]
+                time, urn, recovery = time[keep], urn[keep], recovery[keep]
+        if live.size:
+            engine.apply(time, urn, recovery)
+    return out
+
+
+def simulate(spec: ModelSpec, seed: int, snapshot_times=(),
+             replica: int = 0) -> Trajectory:
+    """Run one trajectory on [0, T]; deterministic in (spec, seed, replica).
 
     A snapshot at time tau reflects all events with time <= tau.  Events
     after the horizon T are discarded.
     """
     times = _check_snapshot_times(spec, snapshot_times)
-    sim = Simulation(spec, seed)
+    sim = Simulation(spec, seed, replica)
     log: list = []
-    snapshots = _run(sim, times, log)
+    snapshots = _run(sim._engine, times, log)
     events = np.array(log, dtype=_EVENT_DTYPE)
     events["urn"] += 1
     events["source"] += 1
@@ -267,20 +474,36 @@ def simulate(spec: ModelSpec, seed: int, snapshot_times=()) -> Trajectory:
         events=events,
         snapshot_times=times,
         snapshots=snapshots,
+        replica=int(replica),
     )
 
 
-def snapshot_states(spec: ModelSpec, seed: int, times) -> np.ndarray:
-    """State matrix (len(times), N) without an event log.
+def snapshot_states(spec: ModelSpec, seed: int, times,
+                    replica: int = 0) -> np.ndarray:
+    """State matrix (len(times), N) of one replica, without an event log.
 
-    Same engine, draw order and stepping loop as :func:`simulate`, so rows
-    agree with the trajectory snapshots bit for bit; used by ensemble runs
-    where event logs would dominate memory.  Stepping stops once the last
-    row is filled, so a snapshot at t < T does not pay for the rest of
-    [0, T].
+    Same engine, draws and stepping loop as :func:`simulate` and as row
+    ``replica`` of :func:`lockstep_states`, so rows agree bit for bit.
+    Stepping stops once the last row is filled, so a snapshot at t < T
+    does not pay for the rest of [0, T].
     """
     times = _check_snapshot_times(spec, times)
-    return _run(Simulation(spec, seed), times, None)
+    return _run(Simulation(spec, seed, replica)._engine, times, None)
+
+
+def lockstep_states(spec: ModelSpec, seed: int, replicas,
+                    times) -> np.ndarray:
+    """(len(replicas), len(times), N) states of many replicas stepped together.
+
+    Initial states come from one draw, each step's event words from one
+    block evaluation for all rows, and a row leaves the batch once its
+    last snapshot is filled.  Row q equals ``snapshot_states(spec, seed,
+    times, replica=replicas[q])``.  Memory is O(len(replicas) * N).
+    """
+    times = _check_snapshot_times(spec, times)
+    replicas = np.asarray(replicas, dtype=np.int64)
+    states = initial_states(spec, seed, replicas)
+    return _run_lockstep(_Engine(spec, seed, replicas, states), times)
 
 
 def replay(trajectory: Trajectory, times) -> np.ndarray:

@@ -16,7 +16,9 @@ minimal such sum c determines the state at time t:
 Minimal sums over nonnegative clocks are shortest paths, so states come
 from a Dijkstra-style search restricted to links with U < K, run backwards
 from the queried urn (the search then only touches the urns that could
-have influenced it).
+have influenced it).  :func:`clock_states` evaluates whole tables of many
+replicas at once instead, by min-plus relaxation forward from the
+initially infected urns.
 
 Influence sets drop the K filter: the influence set of m at horizon t is
 everything reachable from m through clock-sum paths <= t, organized into
@@ -27,10 +29,13 @@ while decoupling the four states outside an explicit event whose failure
 probability is O(1/N); ``coupled_quadruple`` returns the coupled states
 and that event's indicator.
 
+The table of replica r of a seed draws from the streams keyed (seed, r)
+(see :mod:`urnsir.streams`): recovery clocks and initial states of bank b
+from index (b,), the pair clocks targeting urn i from index (b, i - 1).
 Tables are lazy: each row (all clocks targeting one urn) materializes on
-first access from its own derived stream, so building a table is O(1), only
-rows that searches actually touch are ever sampled, and eager or lazy
-access orders give identical values.
+first access from its own stream, so building a table is O(1), only rows
+that searches actually touch are ever sampled, and eager or lazy access
+orders, or drawing many tables at once, give identical values.
 """
 
 from __future__ import annotations
@@ -40,12 +45,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Configuration, ModelSpec
+from .model import (
+    INFECTED,
+    REMOVED,
+    SUSCEPTIBLE,
+    Configuration,
+    ModelSpec,
+    initial_states,
+)
 from .streams import (
     DOMAIN_INITIAL,
     DOMAIN_PAIR_CLOCKS,
     DOMAIN_RECOVERY_CLOCKS,
     derive_rng,
+    exponentials,
+    replica_words,
 )
 
 __all__ = [
@@ -53,6 +67,7 @@ __all__ = [
     "InfluenceSet",
     "influence_set",
     "state_from_clocks",
+    "clock_states",
     "CoupledQuadruple",
     "coupled_quadruple",
     "BANKS",
@@ -61,25 +76,35 @@ __all__ = [
 BANKS = (1, 2, 3, 4)
 
 
-def _exponentials(rng: np.random.Generator, rates: np.ndarray) -> np.ndarray:
-    std = rng.standard_exponential(rates.size)
-    out = np.full(rates.size, np.inf)
-    np.divide(std, rates, out=out, where=rates > 0)
+def _clocks(words: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Exponential clocks of the given rates from stream words; inf at rate 0."""
+    out = np.full(words.shape, np.inf)
+    np.divide(exponentials(words), rates, out=out, where=rates > 0)
     return out
+
+
+def _pair_rates(spec: ModelSpec, target_idx: int) -> np.ndarray:
+    """lambda(target, j) / N over sources j: rates of one pair-clock row."""
+    n = spec.N
+    s = spec.sites()
+    return np.asarray(spec.lam(np.full(n, s[target_idx]), s)) / n
 
 
 @dataclass
 class ClockTable:
-    """Lazy per-seed table of recovery clocks, pair clocks, initial banks.
+    """Lazy table of recovery clocks, pair clocks and initial banks.
 
-    Bank 1 is the primary draw; banks 2..4 are independent replicas used by
-    the coupling construction.  Bank 1 of the initial states follows the
-    same stream rule as :func:`urnsir.model.sample_initial`, so the two
-    agree for equal seeds.
+    The table of replica ``replica`` of ``seed`` draws from the streams
+    keyed (seed, replica).  Bank 1 is the primary draw; banks 2..4 are
+    independent copies used by the coupling construction.  Bank 1 of the
+    initial states follows the same stream rule as
+    :func:`urnsir.model.sample_initial`, so the two agree for equal
+    (seed, replica).
     """
 
     spec: ModelSpec
     seed: int
+    replica: int = 0
     _recovery: dict = field(default_factory=dict, repr=False)
     _initial: dict = field(default_factory=dict, repr=False)
     _rows: dict = field(default_factory=dict, repr=False)
@@ -93,8 +118,10 @@ class ClockTable:
         """K_i for i = 1..N (position i-1); infinite where psi vanishes."""
         bank = self._check_bank(bank)
         if bank not in self._recovery:
-            rng = derive_rng(self.seed, DOMAIN_RECOVERY_CLOCKS, bank)
-            clocks = _exponentials(rng, self.spec.psi_at_sites())
+            rng = derive_rng(self.seed, DOMAIN_RECOVERY_CLOCKS, bank,
+                             replica=self.replica)
+            clocks = _clocks(rng.bit_generator.random_raw(self.spec.N),
+                             self.spec.psi_at_sites())
             clocks.setflags(write=False)
             self._recovery[bank] = clocks
         return self._recovery[bank]
@@ -103,7 +130,8 @@ class ClockTable:
         """0/1 initial states drawn from the phi profile for this bank."""
         bank = self._check_bank(bank)
         if bank not in self._initial:
-            rng = derive_rng(self.seed, DOMAIN_INITIAL, bank)
+            rng = derive_rng(self.seed, DOMAIN_INITIAL, bank,
+                             replica=self.replica)
             states = (rng.random(self.spec.N) < self.spec.phi_at_sites())
             states = states.astype(np.int8)
             states.setflags(write=False)
@@ -125,11 +153,10 @@ class ClockTable:
         key = (bank, target_idx)
         row = self._rows.get(key)
         if row is None:
-            n = self.spec.N
-            rng = derive_rng(self.seed, DOMAIN_PAIR_CLOCKS, bank, target_idx)
-            s = self.spec.sites()
-            rates = np.asarray(self.spec.lam(np.full(n, s[target_idx]), s))
-            row = _exponentials(rng, rates / n)
+            rng = derive_rng(self.seed, DOMAIN_PAIR_CLOCKS, bank, target_idx,
+                             replica=self.replica)
+            row = _clocks(rng.bit_generator.random_raw(self.spec.N),
+                          _pair_rates(self.spec, target_idx))
             row[target_idx] = np.inf
             row.setflags(write=False)
             self._rows[key] = row
@@ -345,6 +372,45 @@ def state_from_clocks(
         lambda v: clocks._row(v, 1), k_vec, init, m - 1, t
     )
     return _state_at(c, float(k_vec[m - 1]), t)
+
+
+def clock_states(spec: ModelSpec, seed: int, replicas, t: float) -> np.ndarray:
+    """(len(replicas), N) states at time t from many bank-1 clock tables.
+
+    Draws the tables of all replicas at once.  c, the minimal admissible
+    path sum into each urn, comes from min-plus relaxation forward from
+    the initially infected urns: c is 0 on them and inf elsewhere, and each
+    round lowers c_v to c_w + U_(v, w) over links with U_(v, w) < K_w,
+    until no sum changes (at most N - 1 rounds).  Row q equals
+    :func:`state_from_clocks` on ``ClockTable(spec, seed, replicas[q])``
+    for every urn; the two add a path's clocks in opposite orders, which
+    could matter only for a sum within rounding of t.  Memory is
+    O(len(replicas) * N^2).
+    """
+    if not (np.isfinite(t) and t >= 0.0):
+        raise ValueError("t must be finite and >= 0")
+    n = spec.N
+    replicas = np.asarray(replicas, dtype=np.int64)
+    init = initial_states(spec, seed, replicas)
+    k_vec = _clocks(
+        replica_words(seed, replicas, n, DOMAIN_RECOVERY_CLOCKS, 1),
+        spec.psi_at_sites(),
+    )
+    # cost[q, v, w] = U_(v, w) where the link w -> v is admissible
+    cost = np.empty((replicas.size, n, n))
+    for v in range(n):
+        row = _clocks(replica_words(seed, replicas, n, DOMAIN_PAIR_CLOCKS, 1, v),
+                      _pair_rates(spec, v))
+        row[:, v] = np.inf
+        cost[:, v] = np.where(row < k_vec, row, np.inf)
+    c = np.where(init == 1, 0.0, np.inf)
+    for _ in range(n - 1):
+        relaxed = np.minimum(c, (c[:, None, :] + cost).min(axis=2))
+        if np.array_equal(relaxed, c):
+            break
+        c = relaxed
+    state = np.where(c + k_vec > t, INFECTED, REMOVED)
+    return np.where(c > t, SUSCEPTIBLE, state).astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Kernel, ScalarField, TestFunction, sites
-from .streams import DOMAIN_INITIAL, derive_rng
+from .streams import DOMAIN_INITIAL, derive_rng, replica_words, uniforms
 
 __all__ = [
     "ModelSpec",
     "Configuration",
     "sample_initial",
+    "initial_states",
     "empirical_fields",
     "fluctuation_fields",
     "REMOVED",
@@ -119,16 +120,26 @@ class Configuration:
         return (self.states == SUSCEPTIBLE).astype(float)
 
 
-def sample_initial(spec: ModelSpec, seed: int) -> Configuration:
+def sample_initial(spec: ModelSpec, seed: int,
+                   replica: int = 0) -> Configuration:
     """Independent initial states: urn i infected with probability phi(i/N).
 
-    Deterministic in ``seed``; uses the (seed, initial-domain, bank=1)
+    Deterministic in (seed, replica); uses the (initial-domain, bank 1)
     stream, which is also bank 1 of the clock-table initial banks.
     """
-    rng = derive_rng(seed, DOMAIN_INITIAL, 1)
+    rng = derive_rng(seed, DOMAIN_INITIAL, 1, replica=replica)
     u = rng.random(spec.N)
     states = (u < spec.phi_at_sites()).astype(np.int8)
     return Configuration(states=states, time=0.0)
+
+
+def initial_states(spec: ModelSpec, seed: int, replicas) -> np.ndarray:
+    """(len(replicas), N) int8 initial states of many replicas in one draw.
+
+    Row q equals ``sample_initial(spec, seed, replicas[q]).states``.
+    """
+    u = uniforms(replica_words(seed, replicas, spec.N, DOMAIN_INITIAL, 1))
+    return (u < spec.phi_at_sites()).astype(np.int8)
 
 
 def empirical_fields(

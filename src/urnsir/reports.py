@@ -36,7 +36,7 @@ from .oracle import (
     moment_report,
     transient_distribution,
 )
-from .streams import DOMAIN_SAMPLING, derive_rng, replica_seed
+from .streams import DOMAIN_SAMPLING, derive_rng
 
 __all__ = [
     "ReportRecord",
@@ -411,9 +411,9 @@ def clt_report(
 # Dynkin martingale and quadratic variation
 
 
-def _dynkin_walk(model: ModelSpec, seed: int, t: float, fv: np.ndarray,
-                 grid: np.ndarray, left: np.ndarray, right: np.ndarray,
-                 sp_sum: np.ndarray):
+def _dynkin_walk(model: ModelSpec, seed: int, replica: int, t: float,
+                 fv: np.ndarray, grid: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, sp_sum: np.ndarray):
     """One replica: exact event-time integrals plus grid samples of S.p.
 
     Returns (raw0, rawt, lint, qv) where lint integrates the generator
@@ -425,7 +425,7 @@ def _dynkin_walk(model: ModelSpec, seed: int, t: float, fv: np.ndarray,
     """
     n = model.N
     sqrt_n = math.sqrt(n)
-    traj = simulate(model, seed, snapshot_times=grid)
+    traj = simulate(model, seed, snapshot_times=grid, replica=replica)
     for k, row in enumerate(traj.snapshots):
         inf = (row == INFECTED).astype(float)
         sp_sum[k] += (row == SUSCEPTIBLE) * (left.dot(inf.dot(right)) / n)
@@ -498,8 +498,7 @@ def dynkin_report(
 
     for r in range(replicas):
         raw0[r], rawt[r], lint[r], qv[r] = _dynkin_walk(
-            spec_t, replica_seed(master_seed, r), t, fv, grid, left, right,
-            sp_sum,
+            spec_t, master_seed, r, t, fv, grid, left, right, sp_sum,
         )
 
     g_mean = sp_sum / replicas

@@ -1,15 +1,33 @@
-"""Deterministic random-stream derivation.
+"""Counter-based random streams keyed by (seed, replica).
 
-Every random quantity in the package comes from a counter-based Philox
-generator keyed as
+Every random word in the package is an output word of the Philox4x64-10
+block function (Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as
+easy as 1, 2, 3", SC'11) under
 
-    Generator(Philox(SeedSequence((seed, domain, *index))))
+    key     = (seed, replica)
+    counter = (block, domain, i, j)
 
-so any (seed, domain, index...) tuple names one reproducible stream,
-independent of every other tuple.  Replica banks, clock-table rows and
-ensemble replicas each get their own domain constant below; the rule is the
-whole reproducibility contract, so nothing else in the package may draw
-randomness any other way.
+one 64-bit word each.  A stream is the tuple (seed, replica, domain, i, j);
+its words are blocks 1, 2, 3, ... in order, four words per block.  The
+domain constants below separate event draws, initial states, clock tables
+and report sampling, and (i, j) index within a domain (bank and target urn
+for clock rows), zero where a domain uses fewer.  The layout is fixed, so a
+missing index is the index 0.  This rule is the whole reproducibility
+contract: nothing else in the package draws randomness.
+
+Two evaluators give the same words.  A single stream is numpy's own bit
+generator, ``np.random.Philox(key=..., counter=...)``, which adds one to
+the counter before each block, so :func:`derive_rng` starts it at counter
+(0, domain, i, j).  :func:`philox` evaluates the block function in numpy for
+many keys and counters at once, which is how an ensemble draws for all its
+replicas in one call; it works through at most ``CHUNK`` counters at a
+time, which bounds its temporaries.
+
+Words become numbers one way: :func:`uniforms` is (w >> 11) 2^-53 on
+[0, 1), what ``Generator.random`` returns from the same words, and
+:func:`exponentials` is -log of ((w >> 12) + 1/2) 2^-52, a uniform on the
+open interval (0, 1), so every holding time and clock is finite and
+strictly positive.
 """
 
 from __future__ import annotations
@@ -18,45 +36,143 @@ import numpy as np
 
 __all__ = [
     "derive_rng",
-    "replica_seed",
+    "philox",
+    "replica_words",
+    "uniforms",
+    "exponentials",
+    "CHUNK",
     "DOMAIN_SIMULATION",
     "DOMAIN_INITIAL",
     "DOMAIN_RECOVERY_CLOCKS",
     "DOMAIN_PAIR_CLOCKS",
-    "DOMAIN_REPLICA",
     "DOMAIN_SAMPLING",
 ]
 
-DOMAIN_SIMULATION = 1  # event generation in the jump-chain simulator
-DOMAIN_INITIAL = 2  # initial-state banks (bank 1 is sample_initial)
-DOMAIN_RECOVERY_CLOCKS = 3  # per-urn recovery clocks, one stream per bank
-DOMAIN_PAIR_CLOCKS = 4  # pair clocks, one stream per (bank, target urn)
-DOMAIN_REPLICA = 5  # per-replica master seeds inside an ensemble
+DOMAIN_SIMULATION = 1  # event draws of the jump chain, one block per event
+DOMAIN_INITIAL = 2  # initial states, i = bank (bank 1 is sample_initial)
+DOMAIN_RECOVERY_CLOCKS = 3  # recovery clocks, i = bank
+DOMAIN_PAIR_CLOCKS = 4  # pair clocks, i = bank, j = target urn (0-based)
 DOMAIN_SAMPLING = 6  # auxiliary sampling in reports (pair selection etc.)
+
+CHUNK = 1 << 14  # counters per vectorised block evaluation
+
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_M0 = 0xD2E7470EE14C6C93
+_M1 = 0xCA5A826395121157
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_ROUNDS = 10
+_WORD_MAX = (1 << 64) - 1
 
 
 def _check_component(value: int) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError("stream key components must be integers")
-    if value < 0:
-        raise ValueError("stream key components must be nonnegative")
+    if not 0 <= value <= _WORD_MAX:
+        raise ValueError("stream key components must lie in [0, 2^64)")
     return int(value)
 
 
-_check_seed = _check_component
+def _counter(domain: int, index: tuple) -> list[int]:
+    if len(index) > 2:
+        raise ValueError("a stream takes at most two index words")
+    words = [_check_component(v) for v in (domain, *index)]
+    return [0, *words, *[0] * (2 - len(index))]
 
 
-def derive_rng(seed: int, domain: int, *index: int) -> np.random.Generator:
-    """The stream for (seed, domain, *index) under the package keying rule.
+def derive_rng(seed: int, domain: int, *index: int,
+               replica: int = 0) -> np.random.Generator:
+    """Stream (seed, replica, domain, *index) as a numpy Generator.
 
-    SeedSequence zero-pads short keys, so (s, d, k) and (s, d, k, 0) name
-    the same stream; every domain therefore uses a fixed key arity.
+    Its bit generator is numpy's Philox at key (seed, replica) and counter
+    (0, domain, *index), zero-padded to four words; ``random_raw`` reads
+    the stream's words from block 1 on.
     """
-    key = tuple(_check_component(v) for v in (seed, domain) + index)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+    key = [_check_component(seed), _check_component(replica)]
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                            counter=np.array(_counter(domain, index),
+                                             dtype=np.uint64))
+    return np.random.Generator(bits)
 
 
-def replica_seed(master_seed: int, replica: int) -> int:
-    """Integer seed for one ensemble replica, derived from the master seed."""
-    key = (_check_seed(master_seed), DOMAIN_REPLICA, int(replica))
-    return int(np.random.SeedSequence(key).generate_state(1, np.uint64)[0])
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product m * x, elementwise."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _MASK32
+    x_hi = x >> _SHIFT32
+    lo_lo = x_lo * m_lo
+    hi_lo = x_hi * m_lo
+    lo_hi = x_lo * m_hi
+    mid = (lo_lo >> _SHIFT32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
+    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32)
+    hi += mid >> _SHIFT32
+    return hi, x * np.uint64(m)
+
+
+def _philox_chunk(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
+    k0, k1 = key[:, 0], key[:, 1]
+    c0, c1, c2, c3 = ctr[:, 0], ctr[:, 1], ctr[:, 2], ctr[:, 3]
+    for r in range(_ROUNDS):
+        if r:
+            k0 = k0 + _W0
+            k1 = k1 + _W1
+        hi0, lo0 = _mulhilo(_M0, c0)
+        hi1, lo1 = _mulhilo(_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=1)
+
+
+def philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 blocks: (n, 4) words for (n, 2) keys and (n, 4) counters.
+
+    The block function itself, with no counter increment: the words of
+    ``np.random.Philox(key=k, counter=c).random_raw(4)`` are
+    ``philox(k, c + 1)``.  At most ``CHUNK`` counters are evaluated at a
+    time.
+    """
+    key = np.asarray(key, dtype=np.uint64)
+    counter = np.asarray(counter, dtype=np.uint64)
+    if key.ndim != 2 or key.shape[1] != 2 or counter.shape != (len(key), 4):
+        raise ValueError("need (n, 2) keys and (n, 4) counters")
+    out = np.empty((len(key), 4), dtype=np.uint64)
+    for lo in range(0, len(key), CHUNK):
+        hi = lo + CHUNK
+        out[lo:hi] = _philox_chunk(key[lo:hi], counter[lo:hi])
+    return out
+
+
+def replica_words(seed: int, replicas, n_words: int, domain: int,
+                  *index: int, first_block: int = 1) -> np.ndarray:
+    """(len(replicas), n_words) words of one stream for many replicas.
+
+    Row q holds the words of stream (seed, replicas[q], domain, *index)
+    from block ``first_block`` on: for first_block = 1 the same words as
+    ``derive_rng(seed, domain, *index, replica=replicas[q])`` gives, drawn
+    for every replica in one vectorised evaluation.
+    """
+    replicas = np.asarray(replicas, dtype=np.uint64)
+    n_blocks = -(-n_words // 4)
+    ctr = np.array(_counter(domain, index), dtype=np.uint64)
+    counters = np.tile(ctr, (replicas.size * n_blocks, 1))
+    blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
+    counters[:, 0] = np.tile(blocks, replicas.size)
+    keys = np.empty((counters.shape[0], 2), dtype=np.uint64)
+    keys[:, 0] = _check_component(seed)
+    keys[:, 1] = np.repeat(replicas, n_blocks)
+    words = philox(keys, counters).reshape(replicas.size, 4 * n_blocks)
+    return words[:, :n_words]
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1): (w >> 11) * 2^-53, as ``Generator.random``."""
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def exponentials(words: np.ndarray) -> np.ndarray:
+    """Standard exponentials -log(u), u = ((w >> 12) + 1/2) 2^-52 in (0, 1).
+
+    u lies in [2^-53, 1 - 2^-53], so every value is finite and positive.
+    """
+    u = ((words >> np.uint64(12)) + 0.5) * (1.0 / 4503599627370496.0)
+    return -np.log(u)

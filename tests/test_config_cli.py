@@ -230,6 +230,15 @@ class TestCli:
         assert code == 2
         assert "master seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_key_range_is_config_error(self, tmp_path, capsys,
+                                                    seed):
+        cfg = write_ini(tmp_path / "run.ini", BASE)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                     "--seed", seed])
+        assert code == 2
+        assert "[0, 2^64)" in capsys.readouterr().err
+
     def test_simulate_byte_identical_reruns(self, tmp_path):
         cfg = write_ini(tmp_path / "run.ini", BASE)
         for name in ("a", "b"):
@@ -256,9 +265,13 @@ class TestCli:
             runs = []
             for name in ("a", "b"):
                 out = tmp_path / f"{kind}_{name}"
-                assert main(["validate", kind, "--config", cfg,
-                             "--out", str(out), "--seed", "7"]) == 0
-                runs.append((out / f"validate_{kind}.csv").read_bytes())
+                # the verdict itself is not under test: at 40 replicas the
+                # dynkin variance band is about a coin flip
+                code = main(["validate", kind, "--config", cfg,
+                             "--out", str(out), "--seed", "7"])
+                assert code in (0, 3)
+                runs.append((code,
+                             (out / f"validate_{kind}.csv").read_bytes()))
             assert runs[0] == runs[1]
 
     def test_solve(self, tmp_path, capsys):

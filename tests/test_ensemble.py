@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from urnsir import ensemble
 from urnsir.ensemble import (
     EnsembleResult,
     EnsembleSpec,
@@ -9,8 +10,8 @@ from urnsir.ensemble import (
 )
 from urnsir.fields import Kernel, ScalarField
 from urnsir.gillespie import snapshot_states
+from urnsir.graphical import ClockTable, state_from_clocks
 from urnsir.model import INFECTED, ModelSpec, SUSCEPTIBLE
-from urnsir.streams import replica_seed
 
 ONE = ScalarField.constant(1.0)
 
@@ -25,9 +26,19 @@ def flat_spec(n=20, lam=1.5, psi=1.0, phi=0.4, T=1.0):
     )
 
 
-def small_ensemble(replicas=40, times=(0.0, 0.5, 1.0), seed=5):
+def table_spec(n=20, T=1.0):
+    return ModelSpec(
+        lam=Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4], [1.4, 2.6, 3.0]]),
+        psi=ScalarField.affine(0.5, 1.0),
+        phi=ScalarField.affine(0.1, 0.4),
+        N=n,
+        T=T,
+    )
+
+
+def small_ensemble(replicas=40, times=(0.0, 0.5, 1.0), seed=5, model=None):
     return EnsembleSpec(
-        model=flat_spec(),
+        model=flat_spec() if model is None else model,
         replicas=replicas,
         master_seed=seed,
         snapshot_times=times,
@@ -68,14 +79,41 @@ class TestDeterminism:
         b = run_ensemble(ens)
         np.testing.assert_array_equal(a.states, b.states)
 
-    def test_replicas_match_individual_runs(self):
-        ens = small_ensemble(replicas=5)
+    @pytest.mark.parametrize("model", [flat_spec(), table_spec()],
+                             ids=["uniform", "table"])
+    def test_replicas_match_individual_runs(self, model):
+        # replica r of the lockstep batch is the single run of replica r,
+        # bit for bit, on the uniform and on the general engine
+        ens = small_ensemble(replicas=30, model=model)
         result = run_ensemble(ens)
-        for r in range(5):
+        assert len(np.unique(result.states[:, -1], axis=0)) > 1
+        for r in range(ens.replicas):
             rows = snapshot_states(
-                ens.model, replica_seed(ens.master_seed, r), ens.snapshot_times
+                ens.model, ens.master_seed, ens.snapshot_times, replica=r
             )
             np.testing.assert_array_equal(result.states[r], rows)
+
+    def test_rows_do_not_depend_on_the_batch(self, monkeypatch):
+        # one replica per batch gives the same rows as one batch for all
+        ens = small_ensemble(replicas=12, model=table_spec())
+        whole = run_ensemble(ens).states
+        monkeypatch.setattr(ensemble, "BATCH_CELLS", 1)
+        np.testing.assert_array_equal(run_ensemble(ens).states, whole)
+        monkeypatch.setattr(ensemble, "BATCH_CELLS", 5 * ens.model.N)
+        np.testing.assert_array_equal(run_ensemble(ens).states, whole)
+
+    @pytest.mark.parametrize("model", [flat_spec(n=7), table_spec(n=7)],
+                             ids=["uniform", "table"])
+    def test_clock_rows_match_lazy_tables(self, model):
+        t = 0.7
+        states = run_clock_ensemble(model, 13, 60, t)
+        assert len(np.unique(states, axis=0)) > 1
+        for r in range(60):
+            clocks = ClockTable(model, 13, replica=r)
+            initial = clocks.initial_states(1)
+            row = [state_from_clocks(clocks, initial, m, t)
+                   for m in range(1, model.N + 1)]
+            np.testing.assert_array_equal(states[r], row)
 
     def test_prefix_stability(self):
         # growing the ensemble must not change earlier replicas

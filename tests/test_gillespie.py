@@ -18,6 +18,9 @@ from urnsir.gillespie import (
     write_events_ndjson,
     write_snapshots_csv,
 )
+from urnsir import gillespie
+from urnsir.gillespie import _Engine, lockstep_states
+from urnsir.streams import exponentials
 from urnsir.model import (
     Configuration,
     INFECTED,
@@ -114,8 +117,8 @@ class TestEventObjects:
 
 class TestEngines:
     def test_engine_choice_follows_spec(self):
-        assert Simulation(uniform_spec(), 0)._uniform
-        assert not Simulation(general_spec(), 0)._uniform
+        assert Simulation(uniform_spec(), 0)._engine.uniform
+        assert not Simulation(general_spec(), 0)._engine.uniform
         # one non-constant input is enough to force the general engine
         mixed = ModelSpec(
             lam=Kernel.constant(1.0),
@@ -124,7 +127,7 @@ class TestEngines:
             N=5,
             T=1.0,
         )
-        assert not Simulation(mixed, 0)._uniform
+        assert not Simulation(mixed, 0)._engine.uniform
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_deterministic_in_seed(self, spec):
@@ -172,6 +175,21 @@ class TestEngines:
             infections += infected.size
             assert not immune[infected - 1].any()
         assert infections > 0
+
+    def test_holding_times_strictly_positive(self, monkeypatch):
+        # the all-ones word gives the smallest exponential, about 2^-53;
+        # every event still moves the clock forward, single or batched
+        def smallest(words):
+            return exponentials(np.full(words.shape, 2**64 - 1, np.uint64))
+
+        monkeypatch.setattr(gillespie, "exponentials", smallest)
+        for spec in (uniform_spec(n=6), general_spec(n=6)):
+            traj = simulate(spec, 3)
+            times = traj.events["time"]
+            assert times.size > 1 and times[0] > 0.0
+            assert np.all(np.diff(times) > 0.0)
+            rows = lockstep_states(spec, 3, [0, 1, 2], (1e-12,))
+            np.testing.assert_array_equal(rows[0], replay(traj, (1e-12,)))
 
     def test_absorption_stops_iteration(self):
         spec = uniform_spec(n=4, T=1e6)
@@ -271,13 +289,13 @@ class TestSnapshots:
         before = int((traj.events["time"] <= t).sum())
         assert len(traj.events) > before + 1
         calls = []
-        step = Simulation.step
+        propose = _Engine.propose
 
-        def counted(sim):
+        def counted(engine, **kwargs):
             calls.append(None)
-            return step(sim)
+            return propose(engine, **kwargs)
 
-        monkeypatch.setattr(Simulation, "step", counted)
+        monkeypatch.setattr(_Engine, "propose", counted)
         rows = snapshot_states(spec, 44, (t,))
         assert len(calls) <= 1 + before
         np.testing.assert_array_equal(rows, replay(traj, (t,)))

@@ -1,16 +1,35 @@
 import numpy as np
 import pytest
 
+from urnsir import streams
 from urnsir.streams import (
     DOMAIN_INITIAL,
     DOMAIN_PAIR_CLOCKS,
     DOMAIN_RECOVERY_CLOCKS,
-    DOMAIN_REPLICA,
     DOMAIN_SAMPLING,
     DOMAIN_SIMULATION,
     derive_rng,
-    replica_seed,
+    exponentials,
+    philox,
+    replica_words,
+    uniforms,
 )
+
+TOP = 2**64 - 1
+
+
+def numpy_blocks(key, counter, blocks):
+    """(blocks, 4) words of numpy's own Philox started at ``counter``."""
+    bits = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                            counter=np.array(counter, dtype=np.uint64))
+    return bits.random_raw(4 * blocks).reshape(blocks, 4)
+
+
+def plus(counter, step):
+    """counter + step as a 256-bit little-endian integer, in four words."""
+    value = sum(int(w) << (64 * i) for i, w in enumerate(counter)) + step
+    value %= 1 << 256
+    return [(value >> (64 * i)) & TOP for i in range(4)]
 
 
 def test_domain_constants_distinct():
@@ -19,7 +38,6 @@ def test_domain_constants_distinct():
         DOMAIN_INITIAL,
         DOMAIN_RECOVERY_CLOCKS,
         DOMAIN_PAIR_CLOCKS,
-        DOMAIN_REPLICA,
         DOMAIN_SAMPLING,
     ]
     assert len(set(domains)) == len(domains)
@@ -45,18 +63,29 @@ def test_index_separation():
     assert not np.array_equal(a, c)
 
 
-def test_trailing_zero_aliases_shorter_key():
-    # SeedSequence pads entropy with zeros, so these coincide; each domain
-    # therefore sticks to one key arity.
-    a = derive_rng(42, DOMAIN_PAIR_CLOCKS, 1).random(16)
-    b = derive_rng(42, DOMAIN_PAIR_CLOCKS, 1, 0).random(16)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_seed_separation():
+def test_seed_and_replica_separation():
     a = derive_rng(1, DOMAIN_SIMULATION).random(16)
     b = derive_rng(2, DOMAIN_SIMULATION).random(16)
+    c = derive_rng(1, DOMAIN_SIMULATION, replica=1).random(16)
     assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(b, c)
+
+
+def test_fixed_counter_layout():
+    # key (seed, replica), counter (block, domain, i, j), zero-padded;
+    # numpy adds one to the counter before each block, so the stream's
+    # words are blocks 1, 2, ... of the block function
+    rng = derive_rng(7, DOMAIN_PAIR_CLOCKS, 3, 11, replica=5)
+    state = rng.bit_generator.state["state"]
+    assert state["key"].tolist() == [7, 5]
+    assert state["counter"].tolist() == [0, DOMAIN_PAIR_CLOCKS, 3, 11]
+    short = derive_rng(7, DOMAIN_RECOVERY_CLOCKS, 3, replica=5)
+    assert short.bit_generator.state["state"]["counter"].tolist() == [
+        0, DOMAIN_RECOVERY_CLOCKS, 3, 0]
+    words = rng.bit_generator.random_raw(8).reshape(2, 4)
+    counters = [[1, DOMAIN_PAIR_CLOCKS, 3, 11], [2, DOMAIN_PAIR_CLOCKS, 3, 11]]
+    np.testing.assert_array_equal(words, philox([[7, 5]] * 2, counters))
 
 
 def test_rejects_non_integers():
@@ -66,27 +95,99 @@ def test_rejects_non_integers():
         derive_rng(1, DOMAIN_SIMULATION, "urn")
     with pytest.raises(TypeError):
         derive_rng(True, DOMAIN_SIMULATION)
+    with pytest.raises(TypeError):
+        derive_rng(1, DOMAIN_SIMULATION, replica=0.5)
 
 
-def test_rejects_negative():
+def test_rejects_out_of_range():
     with pytest.raises(ValueError):
         derive_rng(-1, DOMAIN_SIMULATION)
     with pytest.raises(ValueError):
         derive_rng(1, DOMAIN_SIMULATION, -3)
+    with pytest.raises(ValueError):
+        derive_rng(2**64, DOMAIN_SIMULATION)
+    with pytest.raises(ValueError):
+        derive_rng(1, DOMAIN_SIMULATION, 1, 2, 3)
+    with pytest.raises(ValueError):
+        replica_words(-1, [0], 4, DOMAIN_SIMULATION)
 
 
 def test_numpy_integers_accepted():
     a = derive_rng(np.int64(7), DOMAIN_SIMULATION, np.int32(2)).random(4)
     b = derive_rng(7, DOMAIN_SIMULATION, 2).random(4)
     np.testing.assert_array_equal(a, b)
+    assert derive_rng(TOP, DOMAIN_SIMULATION, replica=TOP).random() < 1.0
 
 
-def test_replica_seed_deterministic_and_distinct():
-    seeds = [replica_seed(99, r) for r in range(64)]
-    assert seeds == [replica_seed(99, r) for r in range(64)]
-    assert len(set(seeds)) == 64
-    assert all(isinstance(s, int) and s >= 0 for s in seeds)
+class TestBlockFunction:
+    def test_random_keys_and_counters(self):
+        rng = np.random.default_rng(2024)
+        keys = rng.integers(0, TOP, size=(200, 2), dtype=np.uint64,
+                            endpoint=True)
+        counters = rng.integers(0, TOP, size=(200, 4), dtype=np.uint64,
+                                endpoint=True)
+        for key, counter in zip(keys, counters):
+            want = numpy_blocks(key, counter, 2)
+            got = philox([key] * 2, [plus(counter, 1), plus(counter, 2)])
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("counter", [
+        [TOP, 5, 6, 7],
+        [TOP - 1, 5, 6, 7],
+        [TOP, TOP, 6, 7],
+        [TOP, TOP, TOP, 7],
+        [TOP, TOP, TOP, TOP],
+    ])
+    def test_counter_carry(self, counter):
+        # numpy carries the block increment into the higher words
+        key = [123456789, 987654321]
+        want = numpy_blocks(key, counter, 3)
+        got = philox([key] * 3, [plus(counter, b) for b in (1, 2, 3)])
+        np.testing.assert_array_equal(got, want)
+
+    def test_chunks_join_seamlessly(self, monkeypatch):
+        keys = [[3, r] for r in range(11)]
+        counters = [[1, DOMAIN_INITIAL, 1, 0]] * 11
+        whole = philox(keys, counters)
+        monkeypatch.setattr(streams, "CHUNK", 4)
+        np.testing.assert_array_equal(philox(keys, counters), whole)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            philox([[1, 2]], [[1, 2, 3]])
 
 
-def test_replica_seed_master_separation():
-    assert replica_seed(1, 0) != replica_seed(2, 0)
+class TestReplicaWords:
+    def test_rows_are_single_streams(self):
+        words = replica_words(9, [0, 4, 2], 10, DOMAIN_PAIR_CLOCKS, 1, 3)
+        for row, r in zip(words, (0, 4, 2)):
+            rng = derive_rng(9, DOMAIN_PAIR_CLOCKS, 1, 3, replica=r)
+            np.testing.assert_array_equal(row, rng.bit_generator.random_raw(10))
+
+    def test_first_block_skips_whole_blocks(self):
+        words = replica_words(9, [6], 8, DOMAIN_SIMULATION, first_block=4)
+        rng = derive_rng(9, DOMAIN_SIMULATION, replica=6)
+        np.testing.assert_array_equal(
+            words[0], rng.bit_generator.random_raw(20)[12:])
+
+
+class TestTransforms:
+    def test_uniforms_are_generator_random(self):
+        rng = derive_rng(5, DOMAIN_INITIAL, 1)
+        same = derive_rng(5, DOMAIN_INITIAL, 1)
+        np.testing.assert_array_equal(
+            uniforms(rng.bit_generator.random_raw(64)), same.random(64))
+
+    def test_exponentials_finite_and_positive(self):
+        extremes = np.array([0, 1, 2**12 - 1, 2**12, TOP - 2**12, TOP],
+                            dtype=np.uint64)
+        values = exponentials(extremes)
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+        assert values[0] == pytest.approx(53 * np.log(2.0))
+        assert values[-1] == pytest.approx(2.0**-53)
+
+    def test_exponentials_have_unit_mean(self):
+        words = derive_rng(8, DOMAIN_SAMPLING).bit_generator.random_raw(200_000)
+        values = exponentials(words)
+        assert abs(values.mean() - 1.0) < 5 * (1 / np.sqrt(values.size))
+        assert abs(values.var() - 1.0) < 0.02
