@@ -192,14 +192,12 @@ class _Engine:
         depend on it, and it reads the event's own words either way.
         """
         exp, uni = self._draw()
-        if self._ix:
-            with np.errstate(divide="ignore"):
-                propose = (self._propose_uniform if self.uniform
-                           else self._propose_general)
-                return propose(exp, uni, False)
-        if self.uniform:
-            return self._propose_uniform(exp, uni, source)
-        return self._propose_general(exp, uni, source)
+        propose = (self._propose_uniform if self.uniform
+                   else self._propose_general)
+        if not self._ix:
+            return propose(exp, uni, source)
+        with np.errstate(divide="ignore"):  # absorbed rows divide by 0
+            return propose(exp, uni, False)
 
     def apply(self, time, urn, recovery) -> None:
         """Apply one proposed event to every row."""
