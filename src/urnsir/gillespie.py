@@ -244,16 +244,16 @@ class _Engine:
         n = self.spec.N
         states = self.states.reshape(-1, n)
         self._lam0, self._psi0 = lam0, psi0
-        # membership lists in urn order: group 0 susceptibles, 1 infected
-        members = np.zeros((len(states), 2, n), dtype=np.int32)
+        # membership lists in urn order: group 0 susceptibles, 1 infected;
+        # a row's list is the first counts[group] entries of its members
+        members = np.empty((len(states), 2, n), dtype=np.int32)
         slot = np.full((len(states), n), -1, dtype=np.int32)
         counts = np.zeros((len(states), 2), dtype=np.int64)
         for group, state in ((0, SUSCEPTIBLE), (1, INFECTED)):
             mask = states == state
-            pos = np.cumsum(mask, axis=1) - 1
-            rows, urns = np.nonzero(mask)
-            members[rows, group, pos[rows, urns]] = urns
-            slot[rows, urns] = pos[rows, urns]
+            members[:, group] = np.argsort(~mask, axis=1, kind="stable")
+            pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
+            slot = np.where(mask, pos, slot)
             counts[:, group] = mask.sum(axis=1)
         shape = self.replicas.shape
         self._members = members.reshape(*shape, 2, n)

@@ -149,19 +149,25 @@ def replica_words(seed: int, replicas, n_words: int, domain: int,
     Row q holds the words of stream (seed, replicas[q], domain, *index)
     from block ``first_block`` on: for first_block = 1 the same words as
     ``derive_rng(seed, domain, *index, replica=replicas[q])`` gives, drawn
-    for every replica in one vectorised evaluation.
+    for every replica by vectorised evaluation, about ``CHUNK`` counters
+    at a time.
     """
     replicas = np.asarray(replicas, dtype=np.uint64)
     n_blocks = -(-n_words // 4)
-    ctr = np.array(_counter(domain, index), dtype=np.uint64)
-    counters = np.tile(ctr, (replicas.size * n_blocks, 1))
     blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
-    counters[:, 0] = np.tile(blocks, replicas.size)
-    keys = np.empty((counters.shape[0], 2), dtype=np.uint64)
-    keys[:, 0] = _check_component(seed)
-    keys[:, 1] = np.repeat(replicas, n_blocks)
-    words = philox(keys, counters).reshape(replicas.size, 4 * n_blocks)
-    return words[:, :n_words]
+    ctr = np.array(_counter(domain, index), dtype=np.uint64)
+    seed = _check_component(seed)
+    out = np.empty((replicas.size, 4 * n_blocks), dtype=np.uint64)
+    step = max(1, CHUNK // n_blocks)
+    for lo in range(0, replicas.size, step):
+        rows = replicas[lo:lo + step]
+        counters = np.tile(ctr, (rows.size * n_blocks, 1))
+        counters[:, 0] = np.tile(blocks, rows.size)
+        keys = np.empty((len(counters), 2), dtype=np.uint64)
+        keys[:, 0] = seed
+        keys[:, 1] = np.repeat(rows, n_blocks)
+        out[lo:lo + step] = philox(keys, counters).reshape(rows.size, -1)
+    return out[:, :n_words]
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
