@@ -10,9 +10,10 @@ built, so nothing drifts and an urn on which lambda vanishes has rate
 exactly 0.
 
 When both the kernel and the recovery rate are constants, urn identity does
-not affect rates and the engine switches to an O(1)-per-event membership
-list scheme.  The engine choice is a deterministic function of the model
-spec.
+not affect rates and the engine switches to an O(1)-per-event scheme: each
+row keeps its urns in three runs (susceptible, infected, removed) and an
+event takes the k-th urn of a run.  The engine choice is a deterministic
+function of the model spec.
 
 One engine steps any number of replicas of (spec, seed) in lockstep, one
 event each per step.  Replica r's draws come from the streams keyed
@@ -63,6 +64,8 @@ __all__ = [
 ]
 
 RECOVERY, INFECTION = 0, 1
+# change of (susceptible, infected) counts: an infection, a recovery
+_GROUP_MOVES = np.array([[-1.0, 1.0], [0.0, -1.0]])
 _EVENT_DTYPE = np.dtype(
     [("time", "f8"), ("kind", "i1"), ("urn", "i4"), ("source", "i4")]
 )
@@ -85,7 +88,6 @@ class Trajectory:
     events: np.ndarray
     snapshot_times: np.ndarray
     snapshots: np.ndarray
-    replica: int = 0
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.events, dtype=_EVENT_DTYPE)
@@ -107,58 +109,70 @@ class Trajectory:
         object.__setattr__(self, "snapshots", snaps)
 
 
-def _search(cum: np.ndarray, pos):
+def _search(cum: np.ndarray, pos) -> np.ndarray:
     """Per row, the first index whose running sum exceeds pos, at most N - 1.
 
-    ``searchsorted(row, pos, side="right")`` on each nondecreasing row: a
-    single row calls it, a batch counts with one comparison.
+    ``searchsorted(row, pos, side="right")`` on each nondecreasing row,
+    clamped to the last index: the first hit of one comparison along the
+    urn axis, for one row or a batch.
     """
-    last = cum.shape[-1] - 1
-    if cum.ndim == 1:
-        return min(int(cum.searchsorted(pos, side="right")), last)
-    return np.minimum((cum <= pos[:, None]).sum(axis=1), last)
+    hit = cum > pos[..., None]
+    hit[..., -1] = True
+    return hit.argmax(axis=-1)
 
 
 class _Engine:
-    """Jump chains of replicas of one model, stepped in lockstep.
+    """Jump chains of a batch of replicas of one model, stepped in lockstep.
 
-    ``replicas`` is one replica number, giving (N,) states and scalar
-    per-row values, or an array of them, giving (R, N) states and (R,)
-    values.  The rate arithmetic is the same code for both; the per-row
-    bookkeeping has a scalar form and an array form that compute the same
-    numbers.  No arithmetic mixes rows, so a replica's trajectory does not
-    depend on the batch it is stepped in.  Every row advances one event per
-    step, so all rows sit at the same event count, and step s reads block
-    s + 1 of each row's simulation stream: the holding time from word 0,
-    the target from word 1, the infection source from words 2 and 3.  A
-    single replica reads its stream through numpy's Philox, one block of
-    events per call; a batch uses the vectorised evaluator.  Both give the
-    same words.
+    ``replicas`` is an array of R replica numbers, or one replica number
+    for a single trajectory, and ``states`` their (R, N) initial rows
+    (R = 1 for one).  The bookkeeping is (R, N) arrays either way; every
+    step reads the rows through ``[:]`` for a batch and ``[0]`` for one
+    replica, so the same code gives per-row values as (R,) arrays or as
+    numpy scalars.  No arithmetic mixes rows, so a replica's trajectory
+    does not depend on the batch it is stepped in.
+
+    Every row advances one event per step, so all rows sit at the same
+    event count, and step s reads block s + 1 of each row's simulation
+    stream: the holding time from word 0, the target from word 1 and the
+    infection source from word 2.  One replica reads its stream through
+    numpy's Philox, a batch through the vectorised evaluator, one block of
+    events per call either way; both give the same words.
     """
 
     def __init__(self, spec: ModelSpec, seed: int, replicas, states):
         self.spec = spec
         self.seed = int(seed)
-        self.replicas = np.asarray(replicas, dtype=np.int64)
-        self.states = np.array(states, dtype=np.int8)
-        if self.states.shape != (*self.replicas.shape, spec.N):
+        one = np.ndim(replicas) == 0
+        self.replicas = np.atleast_1d(np.asarray(replicas, dtype=np.int64))
+        states = np.asarray(states, dtype=np.int8)
+        if (self.replicas.ndim != 1
+                or states.shape != (self.replicas.size, spec.N)):
             raise ValueError("need one state row per replica")
-        batch = self.replicas.ndim == 1
-        self.time = np.zeros(self.replicas.shape) if batch else 0.0
         self.steps = 0
-        # per-row index prefix: all rows of a batch, nothing for one replica
-        self._ix = (np.arange(self.replicas.size),) if batch else ()
-        self._rng = None if batch else derive_rng(
-            seed, DOMAIN_SIMULATION, replica=int(self.replicas)
-        )
+        self._rng = None
+        if one:
+            self._view = self._ix = 0
+            self._rng = derive_rng(seed, DOMAIN_SIMULATION,
+                                   replica=int(self.replicas[0]))
+        else:
+            self._view = slice(None)
+            self._ix = np.arange(self.replicas.size)
+        self.time = np.zeros(self.replicas.size)[self._view]
         self._pos = self._size = 0
         lam0 = spec.lam.constant_value()
         psi0 = spec.psi.constant_value()
         self.uniform = lam0 is not None and psi0 is not None
         if self.uniform:
-            self._init_uniform(lam0, psi0)
+            self._init_uniform(states, lam0, psi0)
+            self._propose, self._move, self.source, self.states_of = (
+                self._propose_uniform, self._move_uniform,
+                self._source_uniform, self._states_uniform)
         else:
-            self._init_general()
+            self._init_general(states)
+            self._propose, self._move, self.source, self.states_of = (
+                self._propose_general, self._move_general,
+                self._source_general, self._states_general)
 
     def _draw(self):
         """This step's exponential and three uniforms (target, source) per row."""
@@ -173,66 +187,41 @@ class _Engine:
                     self.seed, self.replicas, 4 * blocks, DOMAIN_SIMULATION,
                     first_block=self.steps + 1,
                 )
-            words = words.reshape(*self.replicas.shape, blocks, 4)
+            words = words.reshape(self.replicas.size, blocks, 4)
             self._exp = exponentials(words[..., 0])
             self._uni = uniforms(words[..., 1:])
             self._pos, self._size = 0, blocks
         pos = self._pos
         self._pos += 1
         self.steps += 1
-        # .T[i] indexes the last axis and gives scalars for one replica
-        return self._exp.T[pos], self._uni[..., pos, :]
+        return self._exp[self._view, pos], self._uni[self._view, pos]
 
-    def propose(self, source: bool = False):
-        """Every row's next event, not yet applied: (time, urn, recovery, src).
+    def propose(self):
+        """Every row's next event, not yet applied: (time, urn, recovery, u).
 
         Urns are 0-based.  The time is infinite for a row with no event
-        left (absorbed).  The infection source ``src`` is drawn only for a
-        single replica that asks for it (otherwise None): the states do not
-        depend on it, and it reads the event's own words either way.
+        left (absorbed); it divides by a total rate of 0, so the caller
+        silences that warning.  ``u`` is the event's source uniform:
+        :meth:`source` turns it into the infector of an infection, before
+        the event is applied.  The states do not depend on it.
         """
         exp, uni = self._draw()
-        propose = (self._propose_uniform if self.uniform
-                   else self._propose_general)
-        if not self._ix:
-            return propose(exp, uni, source)
-        with np.errstate(divide="ignore"):  # absorbed rows divide by 0
-            return propose(exp, uni, False)
+        return (*self._propose(exp, uni), uni.T[1])
 
     def apply(self, time, urn, recovery) -> None:
-        """Apply one proposed event to every row."""
-        if self._ix:
-            rows = self._ix[0]
-            if self.uniform:
-                self._delist(self._ix, recovery.astype(np.int64), urn)
-                infection = ~recovery
-                self._enlist((rows[infection],), 1, urn[infection])
-            else:
-                self._inf[rows, urn] = ~recovery
-                self._sus[rows, urn] = 0.0
-            self.states[rows, urn] = INFECTED - 2 * recovery
-        else:
-            if self.uniform:
-                self._delist((), 1 if recovery else 0, urn)
-                if not recovery:
-                    self._enlist((), 1, urn)
-            else:
-                self._inf[urn] = 0.0 if recovery else 1.0
-                self._sus[urn] = 0.0
-            self.states[urn] = REMOVED if recovery else INFECTED
+        """Apply the event just proposed to every row."""
+        self._move(urn, recovery)
         self.time = time
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows of a batch where ``mask`` is False."""
         self.replicas = self.replicas[mask]
-        self.states = self.states[mask]
         self.time = self.time[mask]
-        self._ix = (np.arange(self.replicas.size),)
+        self._ix = np.arange(self.replicas.size)
         self._exp = self._exp[mask]
         self._uni = self._uni[mask]
         if self.uniform:
-            self._members = self._members[mask]
-            self._slot = self._slot[mask]
+            self._perm = self._perm[mask]
             self._counts = self._counts[mask]
         else:
             self._inf = self._inf[mask]
@@ -240,130 +229,123 @@ class _Engine:
 
     # -- constant-rate path -------------------------------------------------
 
-    def _init_uniform(self, lam0: float, psi0: float) -> None:
-        n = self.spec.N
-        states = self.states.reshape(-1, n)
+    def _init_uniform(self, states, lam0: float, psi0: float) -> None:
         self._lam0, self._psi0 = lam0, psi0
-        # membership lists in urn order: group 0 susceptibles, 1 infected;
-        # a row's list is the first counts[group] entries of its members
-        members = np.empty((len(states), 2, n), dtype=np.int32)
-        slot = np.full((len(states), n), -1, dtype=np.int32)
-        counts = np.zeros((len(states), 2), dtype=np.int64)
-        for group, state in ((0, SUSCEPTIBLE), (1, INFECTED)):
-            mask = states == state
-            members[:, group] = np.argsort(~mask, axis=1, kind="stable")
-            pos = np.cumsum(mask, axis=1, dtype=np.int32) - 1
-            slot = np.where(mask, pos, slot)
-            counts[:, group] = mask.sum(axis=1)
-        shape = self.replicas.shape
-        self._members = members.reshape(*shape, 2, n)
-        self._slot = slot.reshape(*shape, n)
-        self._counts = counts.reshape(*shape, 2)
+        # each row's urns in three runs, susceptible, infected, removed
+        # (each in urn order at the start), and the sizes of the first two
+        group = np.where(states == REMOVED, 2, states)
+        self._perm = np.argsort(group, axis=1, kind="stable")
+        self._counts = np.stack([(group == 0).sum(axis=1),
+                                 (group == 1).sum(axis=1)], axis=1) * 1.0
 
-    def _enlist(self, ix, group, urn) -> None:
-        pos = self._counts[(*ix, group)]
-        self._members[(*ix, group, pos)] = urn
-        self._slot[(*ix, urn)] = pos
-        self._counts[(*ix, group)] = pos + 1
+    def _states_uniform(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), N) int8 states of the given rows (0-based)."""
+        perm = self._perm[rows]
+        place = np.empty_like(perm)
+        np.put_along_axis(place, perm, np.arange(self.spec.N), axis=1)
+        n_sus, n_inf = self._counts[rows].T[:, :, None]
+        return np.where(place < n_sus, SUSCEPTIBLE,
+                        np.where(place < n_sus + n_inf, INFECTED,
+                                 REMOVED)).astype(np.int8)
 
-    def _delist(self, ix, group, urn) -> None:
-        pos = self._slot[(*ix, urn)]
-        last = self._counts[(*ix, group)] - 1
-        mover = self._members[(*ix, group, last)]
-        self._members[(*ix, group, pos)] = mover
-        self._slot[(*ix, mover)] = pos
-        self._counts[(*ix, group)] = last
-        self._slot[(*ix, urn)] = -1
-
-    def _propose_uniform(self, exp, uni, source):
-        # the same arithmetic on Python numbers for one replica, on arrays
-        # for a batch: a recovery takes the k-th infected urn, an infection
-        # the k-th susceptible one, and rounding can reach a list's length
-        # but not pass it
-        n_sus, n_inf = self._counts.T if self._ix else self._counts.tolist()
+    def _propose_uniform(self, exp, uni):
+        n_sus, n_inf = self._counts[self._view].T
         total_rec = self._psi0 * n_inf
         pressure = self._lam0 * n_inf / self.spec.N
         total = total_rec + pressure * n_sus
         u = uni.T[0] * total
         recovery = u < total_rec
-        if not self._ix:
-            if total <= 0.0:
-                return np.inf, 0, False, None
-            if recovery:
-                urn = self._members[1, min(int(u / self._psi0), n_inf - 1)]
-                return self.time + exp / total, urn, recovery, None
-            k = min(int((u - total_rec) / pressure), n_sus - 1)
-            src = None
-            if source:
-                src = self._members[1, min(int(uni[1] * n_inf), n_inf - 1)]
-            return self.time + exp / total, self._members[0, k], recovery, src
-        group = recovery.astype(np.int64)
-        # absorbed rows (total 0) get a harmless k
-        rate = np.where(total > 0.0, np.where(recovery, self._psi0, pressure),
-                        1.0)
-        offset = np.where(recovery, 0.0, total_rec)
-        k = np.minimum(((u - offset) / rate).astype(np.int64),
-                       self._counts[self._ix[0], group] - 1)
-        urn = self._members[self._ix[0], group, k]
-        return self.time + exp / total, urn, recovery, None
+        # a recovery takes the k-th infected urn, k = u / psi, an infection
+        # the k-th susceptible one, k = (u - total_rec) / pressure; rounding
+        # can reach a run's length but not pass it, and an absorbed row
+        # (0 / 0) gets the last place of its run
+        k = np.where(recovery, u, u - total_rec)
+        k /= np.where(recovery, self._psi0, pressure)
+        last = np.where(recovery, n_inf, n_sus) - 1.0
+        start = n_sus * recovery
+        # apply swaps the urn to the end of its run, which then shrinks
+        slot = (np.fmin(k, last) + start).astype(np.intp)
+        self._swap = slot, (last + start).astype(np.intp)
+        urn = self._perm[self._ix, slot]
+        return self.time + exp / total, urn, recovery
+
+    def _move_uniform(self, urn, recovery) -> None:
+        ix, (slot, last) = self._ix, self._swap
+        self._perm[ix, slot] = self._perm[ix, last]
+        self._perm[ix, last] = urn
+        self._counts[self._view] += _GROUP_MOVES[recovery.astype(np.intp)]
+
+    def _source_uniform(self, urn, u):
+        # the k-th infected urn, k = u * n_inf: every infected urn has the
+        # same weight lambda
+        n_sus, n_inf = self._counts[self._view].T
+        j = np.fmin(u * n_inf, n_inf - 1.0) + n_sus
+        return self._perm[self._ix, j.astype(np.intp)]
 
     # -- general path -------------------------------------------------------
 
-    def _init_general(self) -> None:
+    def _init_general(self, states) -> None:
         n = self.spec.N
         left, right = self.spec.lam.factors(n)
         self._psi_sites = self.spec.psi.at_sites(n)
         self._left_t = np.ascontiguousarray((left / n).T)
         self._right_t = np.ascontiguousarray(right.T)
-        self._inf = (self.states == INFECTED).astype(float)
-        self._sus = (self.states == SUSCEPTIBLE).astype(float)
+        self._inf = (states == INFECTED).astype(float)
+        self._sus = (states == SUSCEPTIBLE).astype(float)
 
-    def _propose_general(self, exp, uni, source):
-        inf = self._inf
-        # pressure = left @ (inf @ right) / N, row by row: one dot product
-        # per row and component (the same BLAS call whatever the batch),
-        # then the r components summed in order, elementwise
-        c = np.vecdot(inf[..., None, :], self._right_t)
+    def _states_general(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), N) int8 states of the given rows (0-based)."""
+        return (2.0 * self._inf[rows] + self._sus[rows] - 1.0).astype(np.int8)
+
+    def _propose_general(self, exp, uni):
+        inf = self._inf[self._view]
+        # pressure = left @ (inf @ right) / N row by row: einsum sums each
+        # row's products in the same order whatever the batch, where a BLAS
+        # call would round after the batch shape
+        c = np.einsum("...n,an->...a", inf, self._right_t)
         rates = np.einsum("...a,an->...n", c, self._left_t)
-        rates *= self._sus
+        rates *= self._sus[self._view]
         rates += self._psi_sites * inf
         cum = np.add.accumulate(rates, axis=-1)
         total = cum.T[-1]
         urn = _search(cum, uni.T[0] * total)
-        recovery = inf[(*self._ix, urn)] > 0.0
-        src = None
-        if source and not recovery:
-            # the infector j of urn i has weight sum_a left[i, a] right[j, a]
-            # over the infected j: pick component a with weight
-            # left[i, a] c[a], then j with weight right[j, a]
-            cum = np.add.accumulate(self._left_t[:, urn] * c)
-            a = _search(cum, uni[2] * cum[-1])
-            cum = np.add.accumulate(self._right_t[a] * inf)
-            src = _search(cum, uni[1] * cum[-1])
-        if self._ix or total > 0.0:
-            return self.time + exp / total, urn, recovery, src
-        return np.inf, urn, recovery, src
+        recovery = self._inf[self._ix, urn] > 0.0
+        return self.time + exp / total, urn, recovery
+
+    def _move_general(self, urn, recovery) -> None:
+        # the urn was susceptible exactly if it gets infected
+        self._inf[self._ix, urn] = self._sus[self._ix, urn]
+        self._sus[self._ix, urn] = 0.0
+
+    def _source_general(self, urn, u):
+        # infector j of urn i with weight lambda(i, j) over the infected j:
+        # the kernel's row, nonnegative whatever the signs of its factors
+        # (drawn for one replica at a time, so a BLAS product is fine)
+        weights = self._left_t[:, urn].T @ self._right_t
+        weights *= self._inf[self._view]
+        cum = np.add.accumulate(weights, axis=-1)
+        return _search(cum, u * cum.T[-1])
 
 
 class Simulation:
     """One replica's jump chain, advancing one event per :meth:`step`.
 
-    The batch of one of the lockstep engine: replica ``replica`` of
-    (spec, seed) makes the same draws and arithmetic here as in row
-    ``replica`` of an ensemble.
+    The lockstep engine's batch of one: replica ``replica`` of (spec, seed)
+    makes the same draws and arithmetic here as in row ``replica`` of an
+    ensemble.
     """
 
     def __init__(self, spec: ModelSpec, seed: int, replica: int = 0):
         self.spec = spec
         self.seed = int(seed)
-        self.replica = int(replica)
         self.initial = sample_initial(spec, seed, replica)
-        self._engine = _Engine(spec, seed, replica, self.initial.states)
+        self._engine = _Engine(spec, seed, replica,
+                               self.initial.states[None])
         self.absorbed = False
 
     @property
     def states(self) -> np.ndarray:
-        return self._engine.states
+        return self._engine.states_of(np.zeros(1, dtype=np.intp))[0]
 
     @property
     def time(self) -> float:
@@ -374,14 +356,16 @@ class Simulation:
         0-based indices (source -1 for recoveries), or None once absorbed."""
         if self.absorbed:
             return None
-        time, urn, recovery, src = self._engine.propose(source=True)
+        engine = self._engine
+        with np.errstate(divide="ignore", invalid="ignore"):
+            time, urn, recovery, u = engine.propose()
         if time == np.inf:
             self.absorbed = True
             return None
-        self._engine.apply(time, urn, recovery)
-        if recovery:
-            return float(time), RECOVERY, int(urn), -1
-        return float(time), INFECTION, int(urn), int(src)
+        src = -1 if recovery else int(engine.source(urn, u))
+        engine.apply(time, urn, recovery)
+        return (float(time), RECOVERY if recovery else INFECTION, int(urn),
+                src)
 
 
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
@@ -391,63 +375,76 @@ def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     return times
 
 
-def _run(engine: _Engine, times: np.ndarray, log: list | None) -> np.ndarray:
-    """Step a one-replica ``engine``; its (len(times), N) states at ``times``.
+def _run(engine: _Engine, times: np.ndarray) -> np.ndarray:
+    """Step a batch in lockstep; its (R, len(times), N) states at ``times``.
 
     The one snapshot rule: a snapshot at tau shows every event with time
-    <= tau.  With ``log`` every event up to T is appended to it as the
-    engine's (time, kind, idx, src) tuple, 0-based, and stepping runs to T
-    or absorption; without it stepping stops once the last row is filled.
-    :func:`_run_lockstep` is the same rule for a batch.
+    <= tau.  A row retires once its next event falls after T (or it is
+    absorbed) or its last snapshot is filled; the batch shrinks to the
+    rows left.  :func:`_walk` is the same rule for a batch of one.
     """
     horizon = engine.spec.T
-    out = np.empty((times.size, engine.spec.N), dtype=np.int8)
-    k = 0
-    while k < times.size or log is not None:
-        time, urn, recovery, src = engine.propose(source=log is not None)
-        if time > horizon:  # absorbed rows propose time inf
-            break
-        while k < times.size and times[k] < time:
-            out[k] = engine.states
-            k += 1
-        engine.apply(time, urn, recovery)
-        if log is not None:
-            log.append((time, RECOVERY, urn, -1) if recovery
-                       else (time, INFECTION, urn, src))
-    out[k:] = engine.states
-    return out
-
-
-def _run_lockstep(engine: _Engine, times: np.ndarray) -> np.ndarray:
-    """Step a batch ``engine``; its (R, len(times), N) states at ``times``.
-
-    The snapshot rule of :func:`_run`, one step for all rows at a time.  A
-    row retires once its next event falls after T (or it is absorbed) or
-    its last snapshot row is filled; the batch shrinks to the rows left.
-    """
-    horizon = engine.spec.T
-    n_rows, n = engine.states.shape
+    n_rows, n = engine.replicas.size, engine.spec.N
     out = np.empty((n_rows, times.size, n), dtype=np.int8)
     # marks[k]: the time past which a row's next event fills snapshot k
     marks = np.minimum(times, horizon)
     live = np.arange(n_rows)
     k = np.zeros(n_rows, dtype=np.int64)
-    while live.size and times.size:
-        time, urn, recovery, _ = engine.propose()
-        if (time > marks[k]).any():
-            j = np.where(time > horizon, times.size,
-                         np.searchsorted(times, time, side="left"))
-            for q in range(int(k.min()), int(j.max())):
-                rows = np.flatnonzero((k <= q) & (q < j))
-                out[live[rows], q] = engine.states[rows]
-            k = j
-            keep = k < times.size
+    keep = k < times.size
+    # absorbed rows divide by a total rate of 0 and propose time inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size and times.size:
+            time, urn, recovery, _ = engine.propose()
+            if (time > marks[k]).any():
+                j = np.where(time > horizon, times.size,
+                             np.searchsorted(times, time, side="left"))
+                rows = np.flatnonzero(j > k)
+                now = engine.states_of(rows)
+                for q in range(int(k.min()), int(j.max())):
+                    hit = (k[rows] <= q) & (q < j[rows])
+                    out[live[rows[hit]], q] = now[hit]
+                k = j
+                keep = k < times.size
+            # a retiring row's event is applied too, then dropped with it
+            engine.apply(time, urn, recovery)
             if not keep.all():
                 engine.keep(keep)
-                live, k = live[keep], k[keep]
-                time, urn, recovery = time[keep], urn[keep], recovery[keep]
-        if live.size:
+                live, k, keep = live[keep], k[keep], keep[keep]
+    return out
+
+
+def _walk(engine: _Engine, times: np.ndarray,
+          log: list | None = None) -> np.ndarray:
+    """Step a batch of one; its (len(times), N) states at ``times``.
+
+    The snapshot rule of :func:`_run` with the snapshot index kept in
+    Python numbers: stepping one replica through the lockstep loop pays
+    numpy's fixed cost per call on every snapshot it fills, which made the
+    Dynkin walk's trajectories (a snapshot every 0.01) about 30 % slower
+    per event.  With ``log`` every event up to T is appended to it as
+    (time, urn, recovery, src), src the infector (-1 for a recovery), and
+    stepping runs to T or absorption; without it stepping stops once the
+    last snapshot is filled.
+    """
+    horizon = engine.spec.T
+    row = np.zeros(1, dtype=np.intp)
+    out = np.empty((times.size, engine.spec.N), dtype=np.int8)
+    k = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while k < times.size or log is not None:
+            time, urn, recovery, u = engine.propose()
+            if time > horizon:  # absorbed rows propose time inf
+                break
+            if k < times.size and times[k] < time:
+                now = engine.states_of(row)[0]
+                while k < times.size and times[k] < time:
+                    out[k] = now
+                    k += 1
+            if log is not None:
+                src = -1 if recovery else engine.source(urn, u)
+                log.append((time, urn, recovery, src))
             engine.apply(time, urn, recovery)
+    out[k:] = engine.states_of(row)[0]
     return out
 
 
@@ -461,10 +458,14 @@ def simulate(spec: ModelSpec, seed: int, snapshot_times=(),
     times = _check_snapshot_times(spec, snapshot_times)
     sim = Simulation(spec, seed, replica)
     log: list = []
-    snapshots = _run(sim._engine, times, log)
-    events = np.array(log, dtype=_EVENT_DTYPE)
-    events["urn"] += 1
-    events["source"] += 1
+    snapshots = _walk(sim._engine, times, log)
+    events = np.zeros(len(log), dtype=_EVENT_DTYPE)
+    if log:
+        time, urn, recovery, src = map(np.array, zip(*log))
+        events["time"] = time
+        events["kind"] = np.where(recovery, RECOVERY, INFECTION)
+        events["urn"] = urn + 1
+        events["source"] = src + 1
     return Trajectory(
         spec=spec,
         seed=int(seed),
@@ -472,7 +473,6 @@ def simulate(spec: ModelSpec, seed: int, snapshot_times=(),
         events=events,
         snapshot_times=times,
         snapshots=snapshots,
-        replica=int(replica),
     )
 
 
@@ -480,13 +480,13 @@ def snapshot_states(spec: ModelSpec, seed: int, times,
                     replica: int = 0) -> np.ndarray:
     """State matrix (len(times), N) of one replica, without an event log.
 
-    Same engine, draws and stepping loop as :func:`simulate` and as row
-    ``replica`` of :func:`lockstep_states`, so rows agree bit for bit.
-    Stepping stops once the last row is filled, so a snapshot at t < T
-    does not pay for the rest of [0, T].
+    The batch of one of :func:`lockstep_states`: the same engine and draws
+    as :func:`simulate` and as row ``replica`` of an ensemble, so rows
+    agree bit for bit.  Stepping stops once the last row is filled, so a
+    snapshot at t < T does not pay for the rest of [0, T].
     """
     times = _check_snapshot_times(spec, times)
-    return _run(Simulation(spec, seed, replica)._engine, times, None)
+    return _walk(Simulation(spec, seed, replica)._engine, times)
 
 
 def lockstep_states(spec: ModelSpec, seed: int, replicas,
@@ -499,9 +499,9 @@ def lockstep_states(spec: ModelSpec, seed: int, replicas,
     times, replica=replicas[q])``.  Memory is O(len(replicas) * N).
     """
     times = _check_snapshot_times(spec, times)
-    replicas = np.asarray(replicas, dtype=np.int64)
+    replicas = np.asarray(replicas, dtype=np.int64).reshape(-1)
     states = initial_states(spec, seed, replicas)
-    return _run_lockstep(_Engine(spec, seed, replicas, states), times)
+    return _run(_Engine(spec, seed, replicas, states), times)
 
 
 def replay(trajectory: Trajectory, times) -> np.ndarray:

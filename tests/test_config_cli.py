@@ -261,17 +261,17 @@ class TestCli:
             dynkin_t = 0.5
             dynkin_replicas = 40
             """)
-        for kind, cfg in (("oracle", oracle), ("dynkin", dynkin)):
+        # at seed 7 the 40-replica dynkin run fails its fixed Var/QV band
+        # (ratio 1.98; the band does not widen with fewer replicas, see
+        # CHANGES.md), and each rerun must give that same verdict
+        for kind, cfg, verdict in (("oracle", oracle, 0),
+                                   ("dynkin", dynkin, 3)):
             runs = []
             for name in ("a", "b"):
                 out = tmp_path / f"{kind}_{name}"
-                # the verdict itself is not under test: at 40 replicas the
-                # dynkin variance band is about a coin flip
-                code = main(["validate", kind, "--config", cfg,
-                             "--out", str(out), "--seed", "7"])
-                assert code in (0, 3)
-                runs.append((code,
-                             (out / f"validate_{kind}.csv").read_bytes()))
+                assert main(["validate", kind, "--config", cfg,
+                             "--out", str(out), "--seed", "7"]) == verdict
+                runs.append((out / f"validate_{kind}.csv").read_bytes())
             assert runs[0] == runs[1]
 
     def test_solve(self, tmp_path, capsys):

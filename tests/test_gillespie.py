@@ -176,6 +176,36 @@ class TestEngines:
             assert not immune[infected - 1].any()
         assert infections > 0
 
+    def test_sources_infected_under_negative_factors(self):
+        # lambda = h1(u) h2(v) with both factors negative at every site: the
+        # product is positive, and every drawn infector must be infected
+        spec = ModelSpec(
+            lam=Kernel.separable(ScalarField.affine(-0.4, -1.2),
+                                 ScalarField.affine(-2.0, 0.9)),
+            psi=ScalarField.affine(0.6, 0.7),
+            phi=ScalarField.constant(0.3),
+            N=25,
+            T=3.0,
+        )
+        assert spec.lam.factors(spec.N)[1].max() < 0.0
+        infections = 0
+        for seed in range(20):
+            traj = simulate(spec, seed)
+            walk_and_check(traj)
+            infections += int((traj.events["kind"] == INFECTION).sum())
+        assert infections > 0
+
+    @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
+    def test_steps_match_simulate(self, spec):
+        # Simulation.step and simulate draw the same events and infectors
+        traj = simulate(spec, 8)
+        sim = Simulation(spec, 8)
+        steps = []
+        while (nxt := sim.step()) is not None and nxt[0] <= spec.T:
+            t, kind, urn, src = nxt
+            steps.append((t, kind, urn + 1, src + 1))
+        assert steps == traj.events.tolist()
+
     def test_holding_times_strictly_positive(self, monkeypatch):
         # the all-ones word gives the smallest exponential, about 2^-53;
         # every event still moves the clock forward, single or batched
