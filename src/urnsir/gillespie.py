@@ -202,8 +202,9 @@ class _Engine:
         Urns are 0-based.  The time is infinite for a row with no event
         left (absorbed); it divides by a total rate of 0, so the caller
         silences that warning.  ``u`` is the event's source uniform:
-        :meth:`source` turns it into the infector of an infection, before
-        the event is applied.  The states do not depend on it.
+        :meth:`source` turns it into the infector of one replica's
+        infection, before the event is applied.  The states do not depend
+        on it.
         """
         exp, uni = self._draw()
         return (*self._propose(exp, uni), uni.T[1])
@@ -319,12 +320,12 @@ class _Engine:
 
     def _source_general(self, urn, u):
         # infector j of urn i with weight lambda(i, j) over the infected j:
-        # the kernel's row, nonnegative whatever the signs of its factors
-        # (drawn for one replica at a time, so a BLAS product is fine)
-        weights = self._left_t[:, urn].T @ self._right_t
+        # the kernel's row, nonnegative whatever the signs of its factors;
+        # drawn for one replica at a time, so one row and a BLAS product
+        weights = self._left_t[:, urn] @ self._right_t
         weights *= self._inf[self._view]
-        cum = np.add.accumulate(weights, axis=-1)
-        return _search(cum, u * cum.T[-1])
+        cum = np.add.accumulate(weights)
+        return min(cum.searchsorted(u * cum[-1], side="right"), cum.size - 1)
 
 
 class Simulation:
