@@ -175,7 +175,7 @@ class _Engine:
                 self._source_general, self._states_general)
 
     def _draw(self):
-        """This step's exponential and uniforms per row (target, source, unused)."""
+        """This step's exponential and uniforms (target, source, unused)."""
         if self._pos == self._size:
             # no replica makes more than 2N events, plus one past T
             blocks = max(1, min(CHUNK // self.replicas.size,
