@@ -191,8 +191,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         replicas = args.replicas or v("dynkin_replicas")
         reports.append(dynkin_report(
             model, seed, t=v("dynkin_t"), replicas=replicas,
-            dt_report=v("dynkin_dt_report"),
-            var_band=(v("dynkin_var_lo"), v("dynkin_var_hi")),
+            dt_report=v("dynkin_dt_report"), alpha=v("dynkin_alpha"),
         ))
     else:
         replicas = args.replicas or v("oracle_replicas")

@@ -61,8 +61,7 @@ VALIDATE_DEFAULTS: dict = {
     "dynkin_t": 1.0,
     "dynkin_replicas": 500,
     "dynkin_dt_report": 0.01,
-    "dynkin_var_lo": 0.85,
-    "dynkin_var_hi": 1.15,
+    "dynkin_alpha": 1e-3,
     "oracle_times": (0.5, 1.0),
     "oracle_replicas": 100_000,
     "oracle_alpha": 1e-3,

@@ -16,12 +16,14 @@ event takes the k-th urn of a run.  The engine choice is a deterministic
 function of the model spec.
 
 One engine steps any number of replicas of (spec, seed) in lockstep, one
-event each per step.  Replica r's draws come from the streams keyed
-(seed, r) (see :mod:`urnsir.streams`): its initial states from the
-initial-state stream, event s from block s + 1 of its simulation stream.
-The arithmetic of a row does not depend on the other rows, so
-:class:`Simulation`, :func:`simulate` and :func:`snapshot_states`, the
-batch of one, give replica r of an ensemble bit for bit.
+event each per step, in one loop that shows each event to an optional
+visitor (an event log, the Dynkin sums) before applying it.  Replica r's
+draws come from the streams keyed (seed, r) (see :mod:`urnsir.streams`):
+its initial states from the initial-state stream, event s from block
+s + 1 of its simulation stream.  The arithmetic of a row does not depend
+on the other rows, so :class:`Simulation`, :func:`simulate` and
+:func:`snapshot_states`, the batch of one, give replica r of an ensemble
+bit for bit.
 """
 
 from __future__ import annotations
@@ -376,76 +378,52 @@ def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     return times
 
 
-def _run(engine: _Engine, times: np.ndarray) -> np.ndarray:
+def _run(engine: _Engine, times: np.ndarray, visit=None) -> np.ndarray:
     """Step a batch in lockstep; its (R, len(times), N) states at ``times``.
 
     The one snapshot rule: a snapshot at tau shows every event with time
     <= tau.  A row retires once its next event falls after T (or it is
     absorbed) or its last snapshot is filled; the batch shrinks to the
-    rows left.  :func:`_walk` is the same rule for a batch of one.
+    rows left.  ``visit(live, time, urn, recovery, u)`` sees every proposed
+    event before it is applied, the retiring one included: ``live`` holds
+    the output rows still stepping and the other arguments are those of
+    :meth:`_Engine.propose`.
     """
     horizon = engine.spec.T
     n_rows, n = engine.replicas.size, engine.spec.N
     out = np.empty((n_rows, times.size, n), dtype=np.int8)
     # marks[k]: the time past which a row's next event fills snapshot k
     marks = np.minimum(times, horizon)
-    live = np.arange(n_rows)
-    k = np.zeros(n_rows, dtype=np.int64)
-    keep = k < times.size
+    live = np.arange(n_rows if times.size else 0)
+    k = np.zeros(live.size, dtype=np.int64)
+    mark = marks[k]
     # absorbed rows divide by a total rate of 0 and propose time inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        while live.size and times.size:
-            time, urn, recovery, _ = engine.propose()
-            if (time > marks[k]).any():
-                j = np.where(time > horizon, times.size,
-                             np.searchsorted(times, time, side="left"))
+        while live.size:
+            time, urn, recovery, u = engine.propose()
+            filled = (time > mark).any()
+            if filled:
+                # at least k: a batch of one proposes a scalar time
+                j = np.maximum(k, np.where(
+                    time > horizon, times.size,
+                    np.searchsorted(times, time, side="left")))
                 rows = np.flatnonzero(j > k)
                 now = engine.states_of(rows)
                 for q in range(int(k.min()), int(j.max())):
                     hit = (k[rows] <= q) & (q < j[rows])
                     out[live[rows[hit]], q] = now[hit]
                 k = j
-                keep = k < times.size
+            if visit is not None:
+                visit(live, time, urn, recovery, u)
             # a retiring row's event is applied too, then dropped with it
             engine.apply(time, urn, recovery)
-            if not keep.all():
-                engine.keep(keep)
-                live, k, keep = live[keep], k[keep], keep[keep]
-    return out
-
-
-def _walk(engine: _Engine, times: np.ndarray,
-          log: list | None = None) -> np.ndarray:
-    """Step a batch of one; its (len(times), N) states at ``times``.
-
-    The snapshot rule of :func:`_run` with the snapshot index kept in
-    Python numbers: stepping one replica through the lockstep loop pays
-    numpy's fixed cost per call on every snapshot it fills, which made the
-    Dynkin walk's trajectories (a snapshot every 0.01) about 30 % slower
-    per event.  With ``log`` every event up to T is appended to it as
-    (time, urn, recovery, src), src the infector (-1 for a recovery), and
-    stepping runs to T or absorption; without it stepping stops once the
-    last snapshot is filled.
-    """
-    horizon = engine.spec.T
-    row = np.zeros(1, dtype=np.intp)
-    out = np.empty((times.size, engine.spec.N), dtype=np.int8)
-    k = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while k < times.size or log is not None:
-            time, urn, recovery, u = engine.propose()
-            if time > horizon:  # absorbed rows propose time inf
-                break
-            if k < times.size and times[k] < time:
-                now = engine.states_of(row)[0]
-                while k < times.size and times[k] < time:
-                    out[k] = now
-                    k += 1
-            if log is not None:
-                src = -1 if recovery else engine.source(urn, u)
-                log.append((time, urn, recovery, src))
-            engine.apply(time, urn, recovery)
-    out[k:] = engine.states_of(row)[0]
+            if filled:
+                keep = k < times.size
+                if not keep.all():
+                    live, k = live[keep], k[keep]
+                    if live.size:
+                        engine.keep(keep)
+                mark = marks[k]
     return out
 
 
@@ -454,24 +432,27 @@ def simulate(spec: ModelSpec, seed: int, snapshot_times=(),
     """Run one trajectory on [0, T]; deterministic in (spec, seed, replica).
 
     A snapshot at time tau reflects all events with time <= tau.  Events
-    after the horizon T are discarded.
+    after the horizon T are discarded: :func:`_run` on the batch of one,
+    stepped to T by one extra snapshot there.
     """
     times = _check_snapshot_times(spec, snapshot_times)
     sim = Simulation(spec, seed, replica)
+    engine = sim._engine
     log: list = []
-    snapshots = _walk(sim._engine, times, log)
-    events = np.zeros(len(log), dtype=_EVENT_DTYPE)
-    if log:
-        time, urn, recovery, src = map(np.array, zip(*log))
-        events["time"] = time
-        events["kind"] = np.where(recovery, RECOVERY, INFECTION)
-        events["urn"] = urn + 1
-        events["source"] = src + 1
+
+    def visit(live, time, urn, recovery, u):
+        if time <= spec.T:
+            kind, src = ((RECOVERY, 0) if recovery
+                         else (INFECTION, engine.source(urn, u) + 1))
+            log.append((time, kind, urn + 1, src))
+
+    run_times = np.append(np.minimum(times, spec.T), spec.T)
+    snapshots = _run(engine, run_times, visit)[0, :-1]
     return Trajectory(
         spec=spec,
         seed=int(seed),
         initial=sim.initial,
-        events=events,
+        events=log,
         snapshot_times=times,
         snapshots=snapshots,
     )
@@ -487,7 +468,7 @@ def snapshot_states(spec: ModelSpec, seed: int, times,
     snapshot at t < T does not pay for the rest of [0, T].
     """
     times = _check_snapshot_times(spec, times)
-    return _walk(Simulation(spec, seed, replica)._engine, times)
+    return _run(Simulation(spec, seed, replica)._engine, times)[0]
 
 
 def lockstep_states(spec: ModelSpec, seed: int, replicas,

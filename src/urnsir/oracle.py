@@ -19,12 +19,13 @@ correctness over speed; N is capped at 10 urns.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .model import Configuration, ModelSpec
 
@@ -166,6 +167,16 @@ def initial_distribution(spec: ModelSpec) -> np.ndarray:
     return probs.prod(axis=1)
 
 
+def _poisson_weights(mu: float, tol: float) -> np.ndarray:
+    """Poisson(mu) pmf at 0 .. k + 1, k the least with P(> k) <= tol (the
+    ``scipy.stats.poisson`` isf and pmf, from the special functions)."""
+    k = math.ceil(pdtrik(1.0 - tol, mu))
+    if k > 0 and pdtr(k - 1, mu) >= 1.0 - tol:
+        k -= 1
+    ks = np.arange(k + 2)
+    return np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)
+
+
 def transient_distribution(
     gen: GeneratorMatrix, p0: np.ndarray, t: float, tol: float = 1e-10
 ) -> np.ndarray:
@@ -181,13 +192,11 @@ def transient_distribution(
     if t == 0.0 or lam == 0.0:
         return p0.copy()
 
-    mu = lam * t
-    k_max = int(poisson.isf(tol, mu)) + 1
-    weights = poisson.pmf(np.arange(k_max + 1), mu)
+    weights = _poisson_weights(lam * t, tol)
     out = weights[0] * p0
     v = p0
     inv = 1.0 / lam
-    for k in range(1, k_max + 1):
+    for k in range(1, weights.size):
         v = v + (v @ gen.Q) * inv  # v P with P = I + Q/Lambda
         out = out + weights[k] * v
     total = out.sum()

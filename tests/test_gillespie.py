@@ -138,6 +138,18 @@ class TestEngines:
         assert not np.array_equal(simulate(spec, 12).events, a.events)
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
+    def test_log_without_snapshots_holds_every_event_to_t(self, spec):
+        for seed in range(4):
+            sim = Simulation(spec, seed)
+            steps = []
+            while (nxt := sim.step()) is not None and nxt[0] <= spec.T:
+                steps.append(nxt)
+            traj = simulate(spec, seed)
+            assert traj.snapshots.shape == (0, spec.N)
+            want = [(t, kind, urn + 1, src + 1) for t, kind, urn, src in steps]
+            assert want and traj.events.tolist() == want
+
+    @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_event_invariants(self, spec):
         for seed in range(8):
             walk_and_check(simulate(spec, seed))

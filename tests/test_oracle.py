@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import expm
 
 from urnsir.config import spec_hash
@@ -20,6 +21,7 @@ from urnsir.oracle import (
     state_index,
     transient_distribution,
 )
+from urnsir.oracle import _poisson_weights
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,6 +187,16 @@ class TestTransient:
         powers = 3 ** np.arange(3, dtype=np.int64)
         perm_idx = swapped.astype(np.int64) @ powers
         assert np.max(np.abs(dist - dist[perm_idx])) < 1e-12
+
+
+def test_poisson_weights_equal_scipy_stats():
+    # the truncation point and every weight, bit for bit
+    rng = np.random.default_rng(3)
+    for mu, tol in zip(np.exp(rng.uniform(-5.0, 7.0, 500)),
+                       10.0 ** rng.uniform(-14.0, -2.0, 500)):
+        k_max = int(stats.poisson.isf(tol, mu)) + 1
+        want = stats.poisson.pmf(np.arange(k_max + 1), mu)
+        np.testing.assert_array_equal(_poisson_weights(mu, tol), want)
 
 
 class TestMoments:

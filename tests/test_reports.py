@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from urnsir.reports import (
     oracle_report,
     write_report_csv,
 )
-from urnsir.reports import _chi_square
+from urnsir.reports import _chi_square, _ks_normal
 
 ZERO = ScalarField.constant(0.0)
 SEED = 404
@@ -195,3 +198,24 @@ def test_report_csv_round_trip(tmp_path):
     assert rows[0] == ["kind", "N", "t", "statistic", "value", "bound", "seed"]
     assert rows[1] == ["demo", "5", "1", "alpha", "0.25", "0.5", "7"]
     assert rows[2][5] == ""  # missing bound stays empty, not "None"
+
+
+def test_special_function_p_values_equal_scipy_stats():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        expected = rng.uniform(0.5, 40.0, int(rng.integers(2, 60)))
+        counts = rng.poisson(expected)
+        stat, dof, p = _chi_square(counts, expected)
+        assert p == (stats.chi2.sf(stat, dof) if dof > 0 else 1.0)
+    for size in rng.integers(5, 3000, 100):
+        z = rng.normal(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 2.0), size)
+        want = stats.kstest(z, "norm", method="asymp")
+        assert _ks_normal(z) == (want.statistic, want.pvalue)
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, urnsir; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
