@@ -1,13 +1,26 @@
 """Exact event-by-event simulation of the finite-N jump process.
 
 The simulator draws the next event by a single uniform over the cumulative
-per-urn rate array: an infected urn i carries rate psi(i/N), a susceptible
-urn carries its infection pressure (1/N) sum_j lambda(i/N, j/N) over
-infected j, a removed urn carries rate 0.  The pressure is recomputed
-exactly at every event from the kernel's rank-r site factors,
-left @ (infected @ right) / N, at O(N r) per event; no N x N matrix is
-built, so nothing drifts and an urn on which lambda vanishes has rate
-exactly 0.
+per-urn rate array, in urn order: an infected urn i carries rate
+psi(i/N), a susceptible urn carries its infection pressure
+(1/N) sum_j lambda(i/N, j/N) over infected j, a removed urn carries rate
+0.  The pressure comes from the kernel's rank-r site factors,
+left @ (infected @ right) / N; no N x N matrix is built, so an urn on
+which lambda vanishes has rate exactly 0.
+
+Below N = BLOCKED_FROM the rates of all N urns are built and prefix-summed
+at every event, at O(N r).  From BLOCKED_FROM on, the urn axis is split
+into blocks of about sqrt(N) urns (the last one padded with zero-rate
+sites), and each row keeps per block the sums of its urns' rate terms,
+(left / N) . susceptible (r of them) and psi . infected.  They are
+recomputed from the block's urns after every event, so they are exact
+functions of the state and nothing drifts.  The uniform is then inverted
+in two steps, still in urn order: a block, from the running sum of the
+block rates (c, 1) . sums with c = infected @ right; then an urn, from the
+running sum of the rates inside that block.  An event costs O(N r)
+multiply-adds for c and O(sqrt(N) r) for the rest.  The rule is the same
+either way; the urn can differ only where the uniform falls within
+rounding of a block edge.
 
 When both the kernel and the recovery rate are constants, urn identity does
 not affect rates and the engine switches to an O(1)-per-event scheme: each
@@ -29,6 +42,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +80,9 @@ __all__ = [
 ]
 
 RECOVERY, INFECTION = 0, 1
+# the general engine's two-level selection starts at this N (measured
+# crossover, BENCH_14.json); below it one block holds every urn
+BLOCKED_FROM = 400
 # change of (susceptible, infected) counts: an infection, a recovery
 _GROUP_MOVES = np.array([[-1.0, 1.0], [0.0, -1.0]])
 _EVENT_DTYPE = np.dtype(
@@ -123,6 +140,25 @@ def _search(cum: np.ndarray, pos) -> np.ndarray:
     return hit.argmax(axis=-1)
 
 
+def _search_block(run: np.ndarray, pos) -> np.ndarray:
+    """Per row, the first index whose running sum exceeds pos.
+
+    When rounding leaves every running sum at or below pos (the block sums
+    put pos in this block, the running sum of its urns ends just short of
+    it), the first index whose running sum reaches the row's total: the
+    last urn of positive rate, never a trailing zero-rate or padded site.
+    """
+    hit = run > pos[..., None]
+    hit |= run >= run[..., -1:]
+    return hit.argmax(axis=-1)
+
+
+def block_size(n: int) -> int:
+    """Urns per block of the general engine: ceil(sqrt(N)), or N below
+    BLOCKED_FROM (one block, no block bookkeeping)."""
+    return n if n < BLOCKED_FROM else math.isqrt(n - 1) + 1
+
+
 class _Engine:
     """Jump chains of a batch of replicas of one model, stepped in lockstep.
 
@@ -172,8 +208,10 @@ class _Engine:
                 self._source_uniform, self._states_uniform)
         else:
             self._init_general(states)
+            blocked = self._blocks > 1
             self._propose, self._move, self.source, self.states_of = (
-                self._propose_general, self._move_general,
+                self._propose_blocked if blocked else self._propose_general,
+                self._move_blocked if blocked else self._move_general,
                 self._source_general, self._states_general)
 
     def _draw(self):
@@ -229,6 +267,11 @@ class _Engine:
         else:
             self._inf = self._inf[mask]
             self._sus = self._sus[mask]
+            if self._blocks > 1:
+                self._terms = self._terms[mask]
+                self._sums = self._sums[mask]
+                self._coef = self._coef[mask]
+                self._cum = self._cum[mask]
 
     # -- constant-rate path -------------------------------------------------
 
@@ -295,6 +338,27 @@ class _Engine:
         self._right_t = np.ascontiguousarray(right.T)
         self._inf = (states == INFECTED).astype(float)
         self._sus = (states == SUSCEPTIBLE).astype(float)
+        self._per_block = block_size(n)
+        self._blocks = -(-n // self._per_block)
+        if self._blocks == 1:
+            return
+        # per urn, the terms of its rate: (left / N) . sus in rows 0 .. r-1
+        # and psi . inf in row r, so that the rate is coef . terms with
+        # coef = (inf @ right, 1); blocks of _per_block urns, the last one
+        # padded with zero-rate sites
+        rows, r = states.shape[0], right.shape[1]
+        terms = np.zeros((rows, r + 1, self._blocks * self._per_block))
+        terms[:, :r, :n] = np.where(self._sus[:, None] > 0.0,
+                                    self._left_t, 0.0)
+        terms[:, r, :n] = self._psi_sites * self._inf
+        self._terms = np.ascontiguousarray(terms.reshape(
+            rows, r + 1, self._blocks, self._per_block).transpose(0, 2, 1, 3))
+        # per (row, block) the sums of its urns' terms, always by this one
+        # reduction over the block, so an exact function of the state
+        self._sums = np.add.reduce(self._terms, axis=-1)
+        self._coef = np.ones((rows, r + 1))
+        # running sums of the block rates, from an exact 0 in column 0
+        self._cum = np.zeros((rows, self._blocks + 1))
 
     def _states_general(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), N) int8 states of the given rows (0-based)."""
@@ -319,6 +383,40 @@ class _Engine:
         # the urn was susceptible exactly if it gets infected
         self._inf[self._ix, urn] = self._sus[self._ix, urn]
         self._sus[self._ix, urn] = 0.0
+
+    def _propose_blocked(self, exp, uni):
+        ix, view = self._ix, self._view
+        coef = self._coef[view]
+        coef[..., :-1] = np.einsum("...n,an->...a", self._inf[view],
+                                   self._right_t)
+        # block b's rate coef . sums[b] holds the positions
+        # [cum[b], cum[b + 1]) of the running sum over all urns
+        block_rates = np.einsum("...k,...bk->...b", coef, self._sums[view])
+        cum = self._cum[view]
+        np.add.accumulate(block_rates, axis=-1, out=cum[..., 1:])
+        total = cum.T[-1]
+        pos = uni.T[0] * total
+        block = (cum[..., 1:] > pos[..., None]).argmax(axis=-1)
+        # inside the block, the running sum of its urns' rates
+        rates = np.einsum("...k,...kn->...n", coef, self._terms[ix, block])
+        at = _search_block(np.add.accumulate(rates, axis=-1),
+                           pos - self._cum[ix, block])
+        urn = block * self._per_block + at
+        # an absorbed row (total 0) proposes the last urn, as with one block
+        urn += (total == 0.0) * (self.spec.N - 1 - urn)
+        recovery = self._inf[ix, urn] > 0.0
+        return self.time + exp / total, urn, recovery
+
+    def _move_blocked(self, urn, recovery) -> None:
+        self._move_general(urn, recovery)
+        ix = self._ix
+        block = urn // self._per_block
+        at = urn - block * self._per_block
+        # the urn is susceptible no more, and infected after an infection
+        self._terms[ix, block, :-1, at] = 0.0
+        self._terms[ix, block, -1, at] = (self._psi_sites[urn]
+                                          * self._inf[ix, urn])
+        self._sums[ix, block] = np.add.reduce(self._terms[ix, block], axis=-1)
 
     def _source_general(self, urn, u):
         # infector j of urn i with weight lambda(i, j) over the infected j:
@@ -408,10 +506,12 @@ def _run(engine: _Engine, times: np.ndarray, visit=None) -> np.ndarray:
                     time > horizon, times.size,
                     np.searchsorted(times, time, side="left")))
                 rows = np.flatnonzero(j > k)
-                now = engine.states_of(rows)
-                for q in range(int(k.min()), int(j.max())):
-                    hit = (k[rows] <= q) & (q < j[rows])
-                    out[live[rows[hit]], q] = now[hit]
+                # row rows[i] fills snapshots k .. j - 1 with its state now
+                fills = j[rows] - k[rows]
+                each = np.repeat(np.arange(rows.size), fills)
+                first = np.cumsum(fills) - fills
+                q = np.arange(each.size) - first[each] + k[rows][each]
+                out[live[rows][each], q] = engine.states_of(rows)[each]
                 k = j
             if visit is not None:
                 visit(live, time, urn, recovery, u)
