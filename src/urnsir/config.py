@@ -11,11 +11,16 @@ Schema (all decimals, lists comma-separated):
     [phi]      form = constant | affine | table; values
     [grid]     M, dt                      (solvers; defaults 32, 1e-3)
     [ensemble] master_seed, snapshot_times
-    [validate] per-report thresholds, all optional (defaults below)
+    [validate] the keys of VALIDATE_KEYS, all optional
 
 Only [model], [lambda], [psi], [phi] are required; [grid], [ensemble]
-and [validate] reject keys not listed here.  Any parse or validation
-problem raises ConfigError; the CLI maps that to exit code 2.
+and [validate] reject keys not listed here.  This module only parses
+text: whether a form, a value count or a value is allowed is decided by
+``ScalarField``, ``Kernel`` and ``ModelSpec``, whose ``ValueError`` is
+raised again as ConfigError.  A ``[validate]`` key the file leaves unset
+is not passed on, so its default is the keyword default of the report it
+feeds.  The CLI maps ConfigError, and the ``ValueError`` of a value the
+package rejects later, to exit code 2.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .model import ModelSpec
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "VALIDATE_DEFAULTS",
+    "VALIDATE_KEYS",
     "load_config",
     "canonical_model_text",
     "spec_hash",
@@ -39,33 +44,6 @@ __all__ = [
 
 class ConfigError(Exception):
     """A configuration file could not be read or failed validation."""
-
-
-# documented defaults for every [validate] threshold
-VALIDATE_DEFAULTS: dict = {
-    "lln_ns": (100, 400, 1600),
-    "lln_t": 2.0,
-    "lln_replicas": 200,
-    "lln_slope_tol": 0.2,
-    "cov_ns": (50, 100, 200, 400),
-    "cov_t": 1.0,
-    "cov_replicas": 10_000,
-    "cov_pairs": 150,
-    "cov_anchor_n": 4,
-    "clt_t": 1.0,
-    "clt_replicas": 500,
-    "clt_m": 32,
-    "clt_dt": 1e-3,
-    "clt_rel_tol": 0.10,
-    "clt_ks_p": 0.01,
-    "dynkin_t": 1.0,
-    "dynkin_replicas": 500,
-    "dynkin_dt_report": 0.01,
-    "dynkin_alpha": 1e-3,
-    "oracle_times": (0.5, 1.0),
-    "oracle_replicas": 100_000,
-    "oracle_alpha": 1e-3,
-}
 
 
 @dataclass(frozen=True)
@@ -77,15 +55,14 @@ class RunConfig:
     snapshot_times: tuple = ()
     validate: dict = field(default_factory=dict)
 
-    def validate_value(self, key: str):
-        return self.validate.get(key, VALIDATE_DEFAULTS[key])
-
 
 def _floats(text: str, where: str) -> tuple:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise ConfigError(f"{where}: expected comma-separated numbers") from exc
+        raise ConfigError(
+            f"{where}: expected numbers, got {text.strip()!r}"
+        ) from exc
 
 
 def _ints(text: str, where: str) -> tuple:
@@ -96,70 +73,60 @@ def _ints(text: str, where: str) -> tuple:
     return out
 
 
-def _scalar_field(section, name: str) -> ScalarField:
-    form = section.get("form", "").strip()
-    values = _floats(section.get("values", ""), f"[{name}] values")
+def _one(parse):
+    """Parser of exactly one value, read as list parser ``parse`` reads."""
+    def one(text: str, where: str):
+        vals = parse(text, where)
+        if len(vals) != 1:
+            raise ConfigError(f"{where}: expected one number, got {len(vals)}")
+        return vals[0]
+    return one
+
+
+_float, _int = _one(_floats), _one(_ints)
+
+#: Every ``[validate]`` key and the parser of its value.  Key <kind>_<name>
+#: sets keyword <name> of that kind's report (``cli`` renames three keys
+#: and reads ``cov_anchor_n`` itself).
+VALIDATE_KEYS = {
+    "lln_ns": _ints, "lln_t": _float, "lln_replicas": _int,
+    "lln_slope_tol": _float,
+    "cov_ns": _ints, "cov_t": _float, "cov_replicas": _int, "cov_pairs": _int,
+    "cov_anchor_n": _int,
+    "clt_t": _float, "clt_replicas": _int, "clt_m": _int, "clt_dt": _float,
+    "clt_rel_tol": _float, "clt_ks_p": _float,
+    "dynkin_t": _float, "dynkin_replicas": _int, "dynkin_dt_report": _float,
+    "dynkin_alpha": _float,
+    "oracle_times": _floats, "oracle_replicas": _int, "oracle_alpha": _float,
+}
+
+
+def _scalar_field(section, name: str, prefix: str = "") -> ScalarField:
+    values = _floats(section.get(f"{prefix}values", ""), f"[{name}] values")
     try:
-        if form == "constant":
-            if len(values) != 1:
-                raise ConfigError(f"[{name}]: constant takes one value")
-            return ScalarField.constant(values[0])
-        if form == "affine":
-            if len(values) != 2:
-                raise ConfigError(f"[{name}]: affine takes two values (a, b)")
-            return ScalarField.affine(values[0], values[1])
-        if form == "table":
-            if not values:
-                raise ConfigError(f"[{name}]: table needs values")
-            return ScalarField.table(values)
+        return ScalarField(section.get(f"{prefix}form", "").strip(), values)
     except ValueError as exc:
         raise ConfigError(f"[{name}]: {exc}") from exc
-    raise ConfigError(f"[{name}]: unknown form {form!r}")
 
 
 def _kernel(section) -> Kernel:
     form = section.get("form", "").strip()
+    args: dict = {}
+    if form == "constant":
+        args["lam0"] = _float(section.get("lam0", ""), "[lambda] lam0")
+    elif form == "separable":
+        args["h1"] = _scalar_field(section, "lambda.h1", "h1_")
+        args["h2"] = _scalar_field(section, "lambda.h2", "h2_")
+    elif form == "table":
+        m = _int(section.get("size", ""), "[lambda] size")
+        values = _floats(section.get("values", ""), "[lambda] values")
+        if len(values) != m * m:
+            raise ConfigError(f"[lambda]: need {m * m} values for size {m}")
+        args["values"] = [values[r * m:(r + 1) * m] for r in range(m)]
     try:
-        if form == "constant":
-            if "lam0" not in section:
-                raise ConfigError("[lambda]: constant form needs lam0")
-            return Kernel.constant(float(section["lam0"]))
-        if form == "separable":
-            h1 = _scalar_field(
-                {"form": section.get("h1_form", ""),
-                 "values": section.get("h1_values", "")},
-                "lambda.h1",
-            )
-            h2 = _scalar_field(
-                {"form": section.get("h2_form", ""),
-                 "values": section.get("h2_values", "")},
-                "lambda.h2",
-            )
-            return Kernel.separable(h1, h2)
-        if form == "table":
-            size = _ints(section.get("size", ""), "[lambda] size")
-            if len(size) != 1 or size[0] < 2:
-                raise ConfigError("[lambda]: size must be one integer >= 2")
-            m = size[0]
-            values = _floats(section.get("values", ""), "[lambda] values")
-            if len(values) != m * m:
-                raise ConfigError(
-                    f"[lambda]: need {m * m} values for size {m}"
-                )
-            rows = [values[r * m:(r + 1) * m] for r in range(m)]
-            return Kernel.table(rows)
-    except ConfigError:
-        raise
+        return Kernel(form, **args)
     except ValueError as exc:
         raise ConfigError(f"[lambda]: {exc}") from exc
-    raise ConfigError(f"[lambda]: unknown form {form!r}")
-
-
-_VALIDATE_INT_KEYS = {
-    "lln_replicas", "cov_replicas", "cov_pairs", "cov_anchor_n",
-    "clt_replicas", "clt_m", "dynkin_replicas", "oracle_replicas",
-}
-_VALIDATE_TUPLE_KEYS = {"lln_ns", "cov_ns", "oracle_times"}
 
 
 def _reject_unknown(section, name: str, known) -> None:
@@ -221,26 +188,13 @@ def load_config(path) -> RunConfig:
                 ens["snapshot_times"], "[ensemble] snapshot_times"
             )
     if "validate" in parser:
-        out: dict = {}
-        _reject_unknown(parser["validate"], "validate", VALIDATE_DEFAULTS)
-        for key, raw in parser["validate"].items():
-            if key in _VALIDATE_TUPLE_KEYS:
-                out[key] = (
-                    _ints(raw, key) if key != "oracle_times"
-                    else _floats(raw, key)
-                )
-            elif key in _VALIDATE_INT_KEYS:
-                (out[key],) = _ints(raw, key)
-            else:
-                try:
-                    out[key] = float(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"[validate] {key}: {exc}") from exc
-        kwargs["validate"] = out
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        section = parser["validate"]
+        _reject_unknown(section, "validate", VALIDATE_KEYS)
+        kwargs["validate"] = {
+            key: VALIDATE_KEYS[key](raw, f"[validate] {key}")
+            for key, raw in section.items()
+        }
+    return RunConfig(**kwargs)
 
 
 def _field_text(f: ScalarField) -> str:

@@ -152,11 +152,18 @@ def initial_covariance(spec: ModelSpec, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceTrajectory:
-    """Stored weight covariances C(t) at a subset of evolution times."""
+    """Stored weight covariances C(t) at a subset of evolution times.
+
+    ``dt`` is the RK4 step of the solve that produced them (0 if none).
+    RK4 moves the zero eigenvalues of the singular C(0) by about dt^4, so
+    each C must be symmetric with no eigenvalue below
+    -max(1e-8, dt^4) * max(1, max |C|).
+    """
 
     times: np.ndarray
     covariances: np.ndarray  # (n_times, 2M, 2M)
     m: int
+    dt: float = 0.0
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -168,13 +175,14 @@ class CovarianceTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "covariances", covs)
         scale = max(1.0, float(np.max(np.abs(covs))) if covs.size else 1.0)
+        floor = min(PSD_FLOOR, -self.dt**4) * scale
         for k in range(times.size):
             c = covs[k]
             asym = float(np.max(np.abs(c - c.T))) / scale
             if asym > SYMMETRY_TOL:
                 raise ValueError(f"covariance at t={times[k]} not symmetric")
             low = float(np.linalg.eigvalsh((c + c.T) / 2.0)[0])
-            if low < PSD_FLOOR * scale:
+            if low < floor:
                 raise ValueError(
                     f"covariance at t={times[k]} has eigenvalue {low:.3e}"
                 )
@@ -224,7 +232,7 @@ def evolve_covariance(
             times.append(k * h)
             stored.append(c)
     return CovarianceTrajectory(
-        times=np.asarray(times), covariances=np.asarray(stored), m=m
+        times=np.asarray(times), covariances=np.asarray(stored), m=m, dt=h
     )
 
 

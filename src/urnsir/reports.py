@@ -121,6 +121,8 @@ def lln_report(
         f = _ONE
     if not 0.0 < t <= model.T:
         raise ValueError("t must lie in (0, T]")
+    if len(set(ns)) < 2:  # a slope needs two rungs
+        raise ValueError("ns must hold at least two distinct N")
     records: list[ReportRecord] = []
     lines: list[str] = []
     rms = []
@@ -209,6 +211,8 @@ def covariance_decay_report(
     """
     if not 0.0 <= t <= model.T:
         raise ValueError("t outside [0, T]")
+    if len(set(ns)) < 2:  # a trend needs two rungs
+        raise ValueError("ns must hold at least two distinct N")
     records: list[ReportRecord] = []
     lines: list[str] = []
     excess = []
@@ -594,6 +598,8 @@ def oracle_report(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if len(times) == 0:
+        raise ValueError("times must hold at least one time")
     gen = build_generator(model)
     init = initial_distribution(model)
     ens = EnsembleSpec(

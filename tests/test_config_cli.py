@@ -1,15 +1,18 @@
 import csv
+import inspect
 import io
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from urnsir import cli
 from urnsir.cli import main
 from urnsir.config import (
+    VALIDATE_KEYS,
     ConfigError,
-    VALIDATE_DEFAULTS,
     canonical_model_text,
     load_config,
     spec_hash,
@@ -17,6 +20,20 @@ from urnsir.config import (
 from urnsir.fields import Kernel, ScalarField
 from urnsir.homogeneous import classic_clt_covariance
 from urnsir.model import ModelSpec
+from urnsir.reports import (
+    clt_report,
+    covariance_anchor_report,
+    covariance_decay_report,
+    dynkin_report,
+    lln_report,
+    oracle_report,
+    write_report_csv,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+REPORTS = {"lln": lln_report, "cov": covariance_decay_report,
+           "clt": clt_report, "dynkin": dynkin_report,
+           "oracle": oracle_report}
 
 
 def write_ini(path, *parts):
@@ -93,9 +110,6 @@ class TestLoadConfig:
             "clt_rel_tol": 0.2,
             "oracle_replicas": 500,
         }
-        # unset keys fall back to the documented defaults
-        assert cfg.validate_value("lln_ns") == (20, 40)
-        assert cfg.validate_value("cov_replicas") == VALIDATE_DEFAULTS["cov_replicas"]
 
     def test_table_kernel(self, tmp_path):
         path = write_ini(tmp_path / "run.ini", """\
@@ -177,6 +191,56 @@ class TestLoadConfig:
             load_config(path)
 
 
+class TestValidateKeys:
+    """The [validate] keys, the report keywords and the README table agree."""
+
+    @staticmethod
+    def keyword_default(key):
+        if key == "cov_anchor_n":  # the anchor's N, read by the CLI itself
+            return 4
+        kind, _, name = key.partition("_")
+        params = inspect.signature(REPORTS[kind]).parameters
+        return params[cli._RENAMED.get(key, name)].default
+
+    def test_each_key_names_a_report_keyword(self):
+        for key in VALIDATE_KEYS:
+            assert self.keyword_default(key) is not inspect.Parameter.empty
+
+    def test_readme_table_lists_the_report_defaults(self):
+        table = README.read_text().split("`[validate]` keys")[1]
+        table = table.split("###")[0]
+        documented = {}
+        for line in table.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            for key, default in zip(cells[::2], cells[1::2]):
+                if key.startswith("`"):
+                    documented[key.strip("`")] = tuple(
+                        float(v) for v in default.split(",")
+                    )
+        assert set(documented) == set(VALIDATE_KEYS)
+        for key, value in documented.items():
+            default = np.atleast_1d(self.keyword_default(key))
+            assert value == tuple(float(v) for v in default), key
+
+    @pytest.mark.parametrize("kind", sorted(REPORTS))
+    def test_unset_keys_take_report_defaults(self, tmp_path, kind):
+        # no [validate] section, so the CLI passes only the replica count
+        cfg = write_ini(tmp_path / "run.ini",
+                        BASE.replace("T = 1.0", "T = 2.0"))
+        out = tmp_path / "cli"
+        assert main(["validate", kind, "--config", cfg, "--out", str(out),
+                     "--seed", "7", "--replicas", "3"]) in (0, 3)
+        model = load_config(cfg).model
+        want = {f"validate_{kind}.csv": REPORTS[kind](model, 7, replicas=3)}
+        if kind == "cov":
+            want["validate_cov_anchor.csv"] = covariance_anchor_report(
+                model.with_n(4), 7, replicas=3)
+        assert sorted(p.name for p in out.iterdir()) == sorted(want)
+        for name, report in want.items():
+            write_report_csv(report, tmp_path / name)
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 class TestCanonicalText:
     def test_golden_hash(self):
         spec = ModelSpec(
@@ -236,6 +300,15 @@ class TestCli:
         cfg = write_ini(tmp_path / "run.ini", BASE)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path),
                      "--seed", seed])
+        assert code == 2
+        assert "[0, 2^64)" in capsys.readouterr().err
+
+    def test_validate_seed_outside_key_range_is_config_error(self, tmp_path,
+                                                             capsys):
+        # the replica streams, not the CLI, reject the seed
+        cfg = write_ini(tmp_path / "run.ini", BASE)
+        code = main(["validate", "oracle", "--config", cfg, "--out",
+                     str(tmp_path), "--seed", "-1", "--replicas", "10"])
         assert code == 2
         assert "[0, 2^64)" in capsys.readouterr().err
 
@@ -386,6 +459,35 @@ class TestCli:
                         textwrap.dedent(BASE).replace("[psi]", "[psy]"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,section,match", [
+        ("validate clt", "[validate]\nclt_m = 0", "M must be"),
+        ("validate dynkin", "[validate]\ndynkin_alpha = 2", "alpha must"),
+        ("validate lln", "[validate]\nlln_t = 3", "t must lie"),
+        ("solve", "[grid]\nM = 0", "M must be"),
+        ("simulate", "[ensemble]\nsnapshot_times = 0.5, 2.0",
+         "snapshot times"),
+        ("validate lln", "[validate]\nlln_ns = 10\nlln_t = 0.5",
+         "ns must hold"),
+        ("validate lln", "[validate]\nlln_ns =\nlln_t = 0.5",
+         "ns must hold"),
+        ("validate cov", "[validate]\ncov_ns = 10", "ns must hold"),
+        ("validate cov", "[validate]\ncov_ns =", "ns must hold"),
+        ("validate oracle", "[validate]\noracle_times =", "times must hold"),
+        ("validate lln", "[validate]\nlln_replicas = 10, 20",
+         "lln_replicas: expected one number"),
+        ("validate lln", "[validate]\nlln_replicas =",
+         "lln_replicas: expected one number"),
+    ])
+    def test_rejected_values_exit_2(self, tmp_path, capsys, command, section,
+                                    match):
+        # values the package rejects: one error line, no traceback
+        cfg = write_ini(tmp_path / "run.ini", BASE, section + "\n")
+        assert main([*command.split(), "--config", cfg,
+                     "--out", str(tmp_path), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert match in err
 
     def test_zero_replicas_rejected(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "run.ini", BASE)

@@ -115,7 +115,7 @@ class TestDrift:
     def test_evolution_matches_dense_lyapunov_solve(self, name,
                                                     include_noise):
         # the singular C(0) keeps the noise-free RK4 solution PSD only to
-        # about dt^4, so dt is small enough for the trajectory's PSD check
+        # about dt^4, which the trajectory's PSD floor allows for
         series = PanelSeries(kernel_spec(KERNELS[name]), 5, 0.01, 1.0)
         traj = evolve_covariance(series, store_every=1,
                                  include_noise=include_noise)
@@ -274,6 +274,19 @@ class TestCovariance:
             CovarianceTrajectory(
                 times=[0.0], covariances=[-np.eye(4)], m=2
             )
+
+    def test_coarse_step_noise_free_solve_accepted(self):
+        # at dt = 0.05 RK4 moves the zero eigenvalues of the singular C(0)
+        # to -1.4e-8, below a fixed floor of -1e-8 but well inside dt^4
+        spec = ModelSpec(
+            lam=Kernel.constant(1.7), psi=ScalarField.affine(0.7, 0.4),
+            phi=ScalarField.affine(0.2, 0.3), N=5, T=1.0,
+        )
+        traj = evolve_covariance(PanelSeries(spec, 5, 0.05, 1.0),
+                                 include_noise=False)
+        assert traj.dt == 0.05
+        low = min(np.linalg.eigvalsh(c)[0] for c in traj.covariances)
+        assert -0.05**4 < low < -1e-8
 
     def test_store_every_and_at(self):
         series = PanelSeries(hetero_spec(), 4, 0.1, 1.0)

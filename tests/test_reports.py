@@ -69,8 +69,20 @@ class TestLln:
         with pytest.raises(ValueError):
             lln_report(flat(T=1.0), SEED, t=1.5)
 
+    @pytest.mark.parametrize("ns", [(), (50,), (50, 50)])
+    def test_ladder_needs_two_distinct_n(self, ns):
+        # one point has no slope: numpy would warn and fit a meaningless one
+        with pytest.raises(ValueError, match="ns must hold"):
+            lln_report(flat(), SEED, ns=ns, t=1.0, replicas=5)
+
 
 class TestCovarianceDecay:
+    @pytest.mark.parametrize("ns", [(), (20,), (20, 20)])
+    def test_ladder_needs_two_distinct_n(self, ns):
+        # the trend test compares the first and last rungs
+        with pytest.raises(ValueError, match="ns must hold"):
+            covariance_decay_report(flat(), SEED, ns=ns, t=0.5, replicas=5)
+
     def test_excess_stays_bounded(self):
         rep = covariance_decay_report(
             flat(), SEED, ns=(20, 40, 80), t=0.5, replicas=2000,
@@ -161,6 +173,11 @@ class TestOracleAndConstruction:
         assert rep.summary() == "[FAIL] oracle"
         with pytest.raises(ValueError):
             oracle_report(flat(n=2, T=1.0), SEED, times=(0.5,), alpha=0.0)
+
+    def test_no_times_rejected(self):
+        # the level alpha / len(times) needs a time to split over
+        with pytest.raises(ValueError, match="times must hold"):
+            oracle_report(flat(n=2, T=1.0), SEED, times=(), replicas=10)
 
     def test_chi_square_pools_small_cells(self):
         counts = np.array([52, 48, 3, 1, 0])
