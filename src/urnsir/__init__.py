@@ -33,10 +33,8 @@ from .gillespie import (
 from .graphical import (
     ClockTable,
     CoupledQuadruple,
-    InfluenceSet,
     clock_states,
     coupled_quadruple,
-    influence_set,
     state_from_clocks,
 )
 from .homogeneous import HomogeneousState, classic_clt_covariance, classic_sir_solve
@@ -54,8 +52,6 @@ from .model import (
     SUSCEPTIBLE,
     Configuration,
     ModelSpec,
-    empirical_fields,
-    fluctuation_fields,
     initial_states,
     sample_initial,
 )

@@ -39,6 +39,7 @@ from .reports import (
     oracle_report,
     write_report_csv,
 )
+from .streams import _check_component
 
 __all__ = ["main"]
 
@@ -86,7 +87,8 @@ def _require_seed(cfg: RunConfig, override: int | None) -> int:
         raise ConfigError(
             "a master seed is required: set [ensemble] master_seed or --seed"
         )
-    return seed
+    # the stream key's range, checked before any solve or replica runs
+    return _check_component(seed)
 
 
 def _out_dir(args) -> Path:

@@ -150,11 +150,8 @@ def load_config(path) -> RunConfig:
         if name not in parser:
             raise ConfigError(f"missing required section [{name}]")
     model_sec = parser["model"]
-    try:
-        n = int(model_sec.get("N", ""))
-        t_horizon = float(model_sec.get("T", ""))
-    except ValueError as exc:
-        raise ConfigError("[model]: N and T are required numbers") from exc
+    n = _int(model_sec.get("N", ""), "[model] N")
+    t_horizon = _float(model_sec.get("T", ""), "[model] T")
 
     lam = _kernel(parser["lambda"])
     psi = _scalar_field(parser["psi"], "psi")
@@ -168,18 +165,16 @@ def load_config(path) -> RunConfig:
     if "grid" in parser:
         grid = parser["grid"]
         _reject_unknown(grid, "grid", ("m", "dt"))
-        try:
-            if "M" in grid:
-                kwargs["grid_m"] = int(grid["M"])
-            if "dt" in grid:
-                kwargs["grid_dt"] = float(grid["dt"])
-        except ValueError as exc:
-            raise ConfigError(f"[grid]: {exc}") from exc
+        if "M" in grid:
+            kwargs["grid_m"] = _int(grid["M"], "[grid] M")
+        if "dt" in grid:
+            kwargs["grid_dt"] = _float(grid["dt"], "[grid] dt")
     if "ensemble" in parser:
         ens = parser["ensemble"]
         _reject_unknown(ens, "ensemble", ("master_seed", "snapshot_times"))
         try:
             if "master_seed" in ens:
+                # exact int(), not _int: seeds above 2^53 must not round
                 kwargs["master_seed"] = int(ens["master_seed"])
         except ValueError as exc:
             raise ConfigError(f"[ensemble]: {exc}") from exc

@@ -34,9 +34,11 @@ visitor (an event log, the Dynkin sums) before applying it.  Replica r's
 draws come from the streams keyed (seed, r) (see :mod:`urnsir.streams`):
 its initial states from the initial-state stream, event s from block
 s + 1 of its simulation stream.  The arithmetic of a row does not depend
-on the other rows, so :class:`Simulation`, :func:`simulate` and
-:func:`snapshot_states`, the batch of one, give replica r of an ensemble
-bit for bit.
+on the other rows, so :func:`simulate` and :func:`snapshot_states`, the
+batch of one, give replica r of an ensemble bit for bit.
+:class:`Simulation` only builds that batch of one (the replica's initial
+configuration and its engine) and has no stepping API: :func:`_run` is
+the one stepping loop.
 """
 
 from __future__ import annotations
@@ -429,11 +431,10 @@ class _Engine:
 
 
 class Simulation:
-    """One replica's jump chain, advancing one event per :meth:`step`.
+    """One replica's initial configuration and its engine, a batch of one.
 
-    The lockstep engine's batch of one: replica ``replica`` of (spec, seed)
-    makes the same draws and arithmetic here as in row ``replica`` of an
-    ensemble.
+    Replica ``replica`` of (spec, seed) makes the same draws and
+    arithmetic here as in row ``replica`` of an ensemble.
     """
 
     def __init__(self, spec: ModelSpec, seed: int, replica: int = 0):
@@ -442,31 +443,6 @@ class Simulation:
         self.initial = sample_initial(spec, seed, replica)
         self._engine = _Engine(spec, seed, replica,
                                self.initial.states[None])
-        self.absorbed = False
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._engine.states_of(np.zeros(1, dtype=np.intp))[0]
-
-    @property
-    def time(self) -> float:
-        return float(self._engine.time)
-
-    def step(self):
-        """Advance one event; returns (time, kind, urn_idx, source_idx) with
-        0-based indices (source -1 for recoveries), or None once absorbed."""
-        if self.absorbed:
-            return None
-        engine = self._engine
-        with np.errstate(divide="ignore", invalid="ignore"):
-            time, urn, recovery, u = engine.propose()
-        if time == np.inf:
-            self.absorbed = True
-            return None
-        src = -1 if recovery else int(engine.source(urn, u))
-        engine.apply(time, urn, recovery)
-        return (float(time), RECOVERY if recovery else INFECTION, int(urn),
-                src)
 
 
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:

@@ -20,9 +20,6 @@ have influenced it).  :func:`clock_states` evaluates whole tables of many
 replicas at once instead, by min-plus relaxation forward from the
 initially infected urns.
 
-Influence sets drop the K filter: the influence set of m at horizon t is
-everything reachable from m through clock-sum paths <= t, organized into
-discovery layers.  Blocked variants delete a set B from the graph first.
 The four-urn coupling swaps clock rows of already-explored regions for
 independent replica banks (2..4), which leaves each marginal law unchanged
 while decoupling the four states outside an explicit event whose failure
@@ -64,8 +61,6 @@ from .streams import (
 
 __all__ = [
     "ClockTable",
-    "InfluenceSet",
-    "influence_set",
     "state_from_clocks",
     "clock_states",
     "CoupledQuadruple",
@@ -143,11 +138,6 @@ class ClockTable:
         if not 1 <= target <= self.spec.N:
             raise ValueError("target urn out of range")
         return self._row(target - 1, self._check_bank(bank))
-
-    def pair_clock(self, target: int, source: int, bank: int = 1) -> float:
-        if target == source:
-            raise ValueError("pair clocks need distinct urns")
-        return float(self.pair_clocks(target, bank)[source - 1])
 
     def _row(self, target_idx: int, bank: int) -> np.ndarray:
         key = (bank, target_idx)
@@ -228,84 +218,6 @@ def _reach(row_fn, n: int, root: int, horizon: float, blocked) -> dict:
                 dist[w] = val
                 heapq.heappush(heap, (val, w))
     return dist
-
-
-def _discovery_layers(row_fn, members: list, root: int, horizon: float):
-    """Layer index = least number of links in any admissible path.
-
-    Iterated min-plus relaxation restricted to the reachable set; a vertex
-    joins layer q when a q-link path first puts its sum under the horizon.
-    Rarely a relaxation round discovers nothing while overall sums still
-    improve; the round then contributes an (interior) empty layer.
-    """
-    order = sorted(members)
-    pos = {v: k for k, v in enumerate(order)}
-    r = len(order)
-    sub = np.empty((r, r))
-    for a, v in enumerate(order):
-        sub[a] = row_fn(v)[order]
-    best = np.full(r, np.inf)
-    best[pos[root]] = 0.0
-    layer = np.full(r, -1)
-    layer[pos[root]] = 0
-    layers = [frozenset([root])]
-    for q in range(1, r + 1):
-        relaxed = np.minimum(best, np.min(best[:, None] + sub, axis=0))
-        if np.array_equal(relaxed, best):
-            break
-        best = relaxed
-        fresh = (layer < 0) & (best <= horizon)
-        layer[fresh] = q
-        layers.append(frozenset(order[a] for a in np.nonzero(fresh)[0]))
-    while len(layers) > 1 and not layers[-1]:
-        layers.pop()
-    return layers
-
-
-@dataclass(frozen=True)
-class InfluenceSet:
-    """Layers of urns whose clocks can influence the root within a horizon."""
-
-    root: int
-    horizon: float
-    blocked: frozenset
-    layers: tuple
-    members: frozenset
-
-    def __post_init__(self) -> None:
-        if self.members & self.blocked:
-            raise ValueError("influence set overlaps its blocked set")
-
-
-def influence_set(
-    clocks: ClockTable, root: int, t: float, blocked=()
-) -> InfluenceSet:
-    """Influence set of ``root`` (1-based) at horizon ``t``, avoiding B."""
-    n = clocks.spec.N
-    if not 1 <= root <= n:
-        raise ValueError("root urn out of range")
-    blocked_set = {int(b) for b in blocked}
-    if root in blocked_set:
-        raise ValueError("root must not be blocked")
-    if not (np.isfinite(t) and t >= 0.0):
-        raise ValueError("horizon must be finite and >= 0")
-    blocked0 = {b - 1 for b in blocked_set}
-    if not all(0 <= b < n for b in blocked0):
-        raise ValueError("blocked urns out of range")
-
-    def row(v: int) -> np.ndarray:
-        return clocks._row(v, 1)
-
-    dist = _reach(row, n, root - 1, t, blocked0)
-    layers0 = _discovery_layers(row, list(dist), root - 1, t)
-    layers = tuple(frozenset(v + 1 for v in lay) for lay in layers0)
-    return InfluenceSet(
-        root=root,
-        horizon=float(t),
-        blocked=frozenset(blocked_set),
-        layers=layers,
-        members=frozenset(v + 1 for v in dist),
-    )
 
 
 def _first_infection(row_fn, k_vec, init_vec, root: int, t: float) -> float:

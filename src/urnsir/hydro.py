@@ -107,9 +107,6 @@ class DensityField:
     def total_infected(self, t: float) -> float:
         return float(self.rho1[self.index_of(t)].mean())
 
-    def total_susceptible(self, t: float) -> float:
-        return float(self.rho0[self.index_of(t)].mean())
-
 
 def _density_rhs(spec: ModelSpec, m: int):
     """Right-hand side f(y, j) of the stacked state y = (rho1, rho0)."""

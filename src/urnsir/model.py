@@ -1,4 +1,4 @@
-"""Model specification, configurations, and empirical/fluctuation fields.
+"""Model specification, configurations and initial states.
 
 Urn ``i`` (1-based, as in every external format) sits at site u = i/N and is
 stored at array position i-1.  States are encoded -1 = removed, 0 =
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Kernel, ScalarField, TestFunction, sites
+from .fields import Kernel, ScalarField, sites
 from .streams import DOMAIN_INITIAL, derive_rng, replica_words, uniforms
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "Configuration",
     "sample_initial",
     "initial_states",
-    "empirical_fields",
-    "fluctuation_fields",
     "REMOVED",
     "SUSCEPTIBLE",
     "INFECTED",
@@ -113,12 +111,6 @@ class Configuration:
         i = int(np.count_nonzero(self.states == INFECTED))
         return s, i, self.n - s - i
 
-    def infected_indicator(self) -> np.ndarray:
-        return (self.states == INFECTED).astype(float)
-
-    def susceptible_indicator(self) -> np.ndarray:
-        return (self.states == SUSCEPTIBLE).astype(float)
-
 
 def sample_initial(spec: ModelSpec, seed: int,
                    replica: int = 0) -> Configuration:
@@ -140,41 +132,3 @@ def initial_states(spec: ModelSpec, seed: int, replicas) -> np.ndarray:
     """
     u = uniforms(replica_words(seed, replicas, spec.N, DOMAIN_INITIAL, 1))
     return (u < spec.phi_at_sites()).astype(np.int8)
-
-
-def empirical_fields(
-    config: Configuration, f: TestFunction
-) -> tuple[float, float]:
-    """(mu, theta): infected and susceptible empirical fields against f.
-
-    mu = (1/N) sum over infected urns of f(i/N), theta the same over
-    susceptible urns.
-    """
-    fv = f.at_sites(config.n)
-    mu = float(config.infected_indicator() @ fv) / config.n
-    theta = float(config.susceptible_indicator() @ fv) / config.n
-    return mu, theta
-
-
-def fluctuation_fields(
-    config: Configuration,
-    mean_infected: np.ndarray,
-    mean_susceptible: np.ndarray,
-    f: TestFunction,
-) -> tuple[float, float]:
-    """(eta, beta): sqrt(N)-scaled centered fields against f.
-
-    eta = (1/sqrt(N)) sum_i (1{xi(i)=1} - mean_infected[i]) f(i/N) and beta
-    the susceptible analogue.  The centering vectors are the caller's
-    estimate (or exact value) of the per-urn occupation probabilities.
-    """
-    n = config.n
-    mean_infected = np.asarray(mean_infected, dtype=float)
-    mean_susceptible = np.asarray(mean_susceptible, dtype=float)
-    if mean_infected.shape != (n,) or mean_susceptible.shape != (n,):
-        raise ValueError("centering vectors must have one entry per urn")
-    fv = f.at_sites(n)
-    root = np.sqrt(n)
-    eta = float((config.infected_indicator() - mean_infected) @ fv) / root
-    beta = float((config.susceptible_indicator() - mean_susceptible) @ fv) / root
-    return eta, beta

@@ -42,7 +42,6 @@ __all__ = [
     "occupation_marginals",
     "MomentRecord",
     "moment_report",
-    "write_moment_fixture",
     "read_moment_fixture",
 ]
 
@@ -273,24 +272,6 @@ def moment_report(
             )
         )
     return records
-
-
-def _query_label(query: tuple[tuple[int, int], ...]) -> str:
-    return ";".join(f"{'SI'[r]}{i}" for i, r in query)
-
-
-def write_moment_fixture(
-    path, spec_hash: str, t: float, records: Iterable[MomentRecord]
-) -> None:
-    """Persist records as CSV rows (spec_hash, t, query, value, centered)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["spec_hash", "t", "query", "value", "centered"])
-        for rec in records:
-            writer.writerow(
-                [spec_hash, f"{t:.10g}", _query_label(rec.query),
-                 f"{rec.expectation:.15g}", f"{rec.centered:.15g}"]
-            )
 
 
 def read_moment_fixture(path) -> list[dict]:

@@ -143,6 +143,23 @@ class TestLoadConfig:
         assert cfg.master_seed is None and cfg.snapshot_times == ()
         assert cfg.validate == {}
 
+    def test_integers_in_float_notation(self, tmp_path):
+        # N and M read like the [validate] integers; the seed stays exact
+        text = textwrap.dedent(BASE).replace("N = 6", "N = 1e3")
+        cfg = load_config(write_ini(tmp_path / "run.ini", text, """\
+            [grid]
+            M = 1.6e1
+
+            [ensemble]
+            master_seed = 18446744073709551615
+
+            [validate]
+            lln_replicas = 1e3
+            """))
+        assert cfg.model.N == 1000 and cfg.grid_m == 16
+        assert cfg.validate == {"lln_replicas": 1000}
+        assert cfg.master_seed == 2**64 - 1
+
     @pytest.mark.parametrize("mangle", [
         lambda s: s.replace("[phi]\n", "[fi]\n"),
         lambda s: s.replace("form = constant\nlam0 = 1.5", "form = cubic"),
@@ -304,13 +321,19 @@ class TestCli:
         assert "[0, 2^64)" in capsys.readouterr().err
 
     def test_validate_seed_outside_key_range_is_config_error(self, tmp_path,
-                                                             capsys):
-        # the replica streams, not the CLI, reject the seed
+                                                             capsys,
+                                                             monkeypatch):
+        # the streams' key check rejects the seed before any report runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Lyapunov solve ran before the seed check")
+
+        monkeypatch.setattr("urnsir.reports.evolve_covariance", forbidden)
         cfg = write_ini(tmp_path / "run.ini", BASE)
-        code = main(["validate", "oracle", "--config", cfg, "--out",
-                     str(tmp_path), "--seed", "-1", "--replicas", "10"])
-        assert code == 2
-        assert "[0, 2^64)" in capsys.readouterr().err
+        for kind in ("oracle", "clt"):
+            code = main(["validate", kind, "--config", cfg, "--out",
+                         str(tmp_path), "--seed", "-1", "--replicas", "10"])
+            assert code == 2
+            assert "[0, 2^64)" in capsys.readouterr().err
 
     def test_simulate_byte_identical_reruns(self, tmp_path):
         cfg = write_ini(tmp_path / "run.ini", BASE)
@@ -478,11 +501,18 @@ class TestCli:
          "lln_replicas: expected one number"),
         ("validate lln", "[validate]\nlln_replicas =",
          "lln_replicas: expected one number"),
+        ("solve", "N = 2.5", "[model] N: expected integers"),
+        ("solve", "[grid]\nM = 32.5", "[grid] M: expected integers"),
     ])
     def test_rejected_values_exit_2(self, tmp_path, capsys, command, section,
                                     match):
-        # values the package rejects: one error line, no traceback
-        cfg = write_ini(tmp_path / "run.ini", BASE, section + "\n")
+        # values the package rejects: one error line, no traceback; a
+        # [model] key replaces the base file's own line
+        if section.startswith("N ="):
+            text, section = BASE.replace("N = 6", section), ""
+        else:
+            text = BASE
+        cfg = write_ini(tmp_path / "run.ini", text, section + "\n")
         assert main([*command.split(), "--config", cfg,
                      "--out", str(tmp_path), "--seed", "1"]) == 2
         err = capsys.readouterr().err

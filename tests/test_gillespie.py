@@ -139,15 +139,16 @@ class TestEngines:
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_log_without_snapshots_holds_every_event_to_t(self, spec):
+        # every event changes one urn, so a log that replays to the
+        # engine's own state at T holds every event up to T
         for seed in range(4):
-            sim = Simulation(spec, seed)
-            steps = []
-            while (nxt := sim.step()) is not None and nxt[0] <= spec.T:
-                steps.append(nxt)
             traj = simulate(spec, seed)
             assert traj.snapshots.shape == (0, spec.N)
-            want = [(t, kind, urn + 1, src + 1) for t, kind, urn, src in steps]
-            assert want and traj.events.tolist() == want
+            assert traj.events.size and traj.events["time"][-1] <= spec.T
+            at_t = simulate(spec, seed, snapshot_times=(spec.T,))
+            np.testing.assert_array_equal(at_t.events, traj.events)
+            np.testing.assert_array_equal(replay(traj, (spec.T,)),
+                                          at_t.snapshots)
 
     @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
     def test_event_invariants(self, spec):
@@ -156,7 +157,7 @@ class TestEngines:
 
     def test_no_kernel_evaluation_after_setup(self, monkeypatch):
         # stepping reads only the site factors taken at set-up, at any N
-        sim = Simulation(general_spec(n=3000), 3)
+        engine = Simulation(general_spec(n=3000), 3)._engine
 
         def forbidden(*args, **kwargs):
             raise AssertionError("kernel evaluated while stepping")
@@ -164,7 +165,11 @@ class TestEngines:
         for name in ("__call__", "site_matrix", "node_average"):
             monkeypatch.setattr(Kernel, name, forbidden)
         for _ in range(200):
-            assert sim.step() is not None
+            time, urn, recovery, u = engine.propose()
+            assert time < np.inf
+            if not recovery:
+                engine.source(urn, u)
+            engine.apply(time, urn, recovery)
 
     def test_zero_kernel_rows_never_infected(self):
         # h1 vanishes on [0, 3/5], so the urns there feel no pressure
@@ -207,17 +212,6 @@ class TestEngines:
             infections += int((traj.events["kind"] == INFECTION).sum())
         assert infections > 0
 
-    @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()])
-    def test_steps_match_simulate(self, spec):
-        # Simulation.step and simulate draw the same events and infectors
-        traj = simulate(spec, 8)
-        sim = Simulation(spec, 8)
-        steps = []
-        while (nxt := sim.step()) is not None and nxt[0] <= spec.T:
-            t, kind, urn, src = nxt
-            steps.append((t, kind, urn + 1, src + 1))
-        assert steps == traj.events.tolist()
-
     def test_holding_times_strictly_positive(self, monkeypatch):
         # the all-ones word gives the smallest exponential, about 2^-53;
         # every event still moves the clock forward, single or batched
@@ -234,13 +228,12 @@ class TestEngines:
             np.testing.assert_array_equal(rows[0], replay(traj, (1e-12,)))
 
     def test_absorption_stops_iteration(self):
+        # the horizon is never reached: the run ends because the last
+        # infected urn recovers and no event is left
         spec = uniform_spec(n=4, T=1e6)
-        sim = Simulation(spec, 5)
-        while sim.step() is not None:
-            pass
-        assert sim.absorbed
-        assert sim.step() is None
-        assert not np.any(sim.states == INFECTED)
+        traj = simulate(spec, 5, snapshot_times=(spec.T,))
+        assert traj.events.size
+        assert not np.any(traj.snapshots[-1] == INFECTED)
 
 
 class TestLaws:

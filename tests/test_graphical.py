@@ -6,8 +6,8 @@ from urnsir.fields import Kernel, ScalarField
 from urnsir.graphical import (
     BANKS,
     ClockTable,
+    _reach,
     coupled_quadruple,
-    influence_set,
     state_from_clocks,
 )
 from urnsir.model import Configuration, ModelSpec, sample_initial
@@ -83,14 +83,12 @@ class TestClockTable:
         tab = ClockTable(spec=spec, seed=0)
         assert np.all(np.isinf(tab.recovery_clocks()))
         # source at site 1/2 has kernel factor 0, so it never fires
-        assert np.isinf(tab.pair_clock(2, 1))
+        assert np.isinf(tab.pair_clocks(2)[0])
 
     def test_diagonal_is_infinite(self):
         tab = ClockTable(spec=flat_spec(4), seed=1)
         for target in range(1, 5):
             assert np.isinf(tab.pair_clocks(target)[target - 1])
-        with pytest.raises(ValueError):
-            tab.pair_clock(2, 2)
 
     def test_from_values_validation(self):
         spec = flat_spec(3)
@@ -110,7 +108,7 @@ class TestClockTable:
         for seed in range(reps):
             tab = ClockTable(spec=spec, seed=seed)
             rec += tab.recovery_clocks()
-            pair += tab.pair_clock(1, 2)
+            pair += tab.pair_clocks(1)[1]
         rec /= reps
         pair /= reps
         se_rec = (1 / 0.8) / np.sqrt(reps)
@@ -119,40 +117,28 @@ class TestClockTable:
         assert abs(pair - mean_pair) < 3.89 * mean_pair / np.sqrt(reps)
 
 
+def reach(tab, root, horizon, blocked=()):
+    """_reach on bank 1 of a table, in 1-based urns."""
+    dist = _reach(lambda v: tab._row(v, 1), tab.spec.N, root - 1, horizon,
+                  {b - 1 for b in blocked})
+    return {v + 1: d for v, d in dist.items()}
+
+
 class TestInfluenceSet:
-    def test_layer_trace(self):
-        tab = chain_table()
-        infl = influence_set(tab, 1, 1.0)
-        assert infl.members == frozenset({1, 2, 3})
-        assert infl.layers == (
-            frozenset({1}),
-            frozenset({2}),
-            frozenset({3}),
-        )
+    # the capped path search that gives coupled_quadruple its influence
+    # and blocked sets, traced by hand on chain_table()
 
     def test_horizon_cuts_reach(self):
         tab = chain_table()
-        infl = influence_set(tab, 1, 0.3)
-        assert infl.members == frozenset({1})
-        assert infl.layers == (frozenset({1}),)
+        # 1 <- 2 at 0.4, then 2 <- 3 at 0.4 + 0.5; the direct 2.0 loses
+        assert reach(tab, 1, 1.0) == pytest.approx({1: 0.0, 2: 0.4, 3: 0.9})
+        assert reach(tab, 1, 0.3) == {1: 0.0}
 
     def test_blocked_set_removed_from_graph(self):
         tab = chain_table()
-        infl = influence_set(tab, 1, 1.0, blocked=(2,))
         # only the long direct clock remains and it exceeds the horizon
-        assert infl.members == frozenset({1})
-        assert infl.blocked == frozenset({2})
-
-    def test_validation(self):
-        tab = chain_table()
-        with pytest.raises(ValueError):
-            influence_set(tab, 0, 1.0)
-        with pytest.raises(ValueError):
-            influence_set(tab, 1, 1.0, blocked=(1,))
-        with pytest.raises(ValueError):
-            influence_set(tab, 1, -1.0)
-        with pytest.raises(ValueError):
-            influence_set(tab, 1, np.inf)
+        assert reach(tab, 1, 1.0, blocked=(2,)) == {1: 0.0}
+        assert reach(tab, 1, 2.0, blocked=(2,)) == {1: 0.0, 3: 2.0}
 
 
 class TestStateFromClocks:

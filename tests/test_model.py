@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from urnsir.ensemble import EnsembleResult, EnsembleSpec
 from urnsir.fields import Kernel, ScalarField
 from urnsir.model import (
     INFECTED,
@@ -9,8 +10,6 @@ from urnsir.model import (
     SUSCEPTIBLE,
     Configuration,
     ModelSpec,
-    empirical_fields,
-    fluctuation_fields,
     sample_initial,
 )
 
@@ -132,81 +131,78 @@ class TestSampleInitial:
         assert np.all(np.abs(freq - 0.3) < band)
 
 
+def one_config(states):
+    """An ensemble of one replica and one snapshot holding ``states``."""
+    states = np.asarray(states, dtype=np.int8)
+    ens = EnsembleSpec(make_spec(n=states.size), replicas=1, master_seed=0,
+                       snapshot_times=(0.0,))
+    return EnsembleResult(spec=ens, states=states[None, None])
+
+
+def fields(states, f):
+    """(mu, theta) of one configuration against f."""
+    res = one_config(states)
+    return float(res.mu(f, 0)[0]), float(res.theta(f, 0)[0])
+
+
 class TestFields:
     def test_full_infection(self):
-        cfg = Configuration(states=np.ones(4, dtype=np.int8), time=0.0)
-        assert empirical_fields(cfg, ScalarField.constant(1.0)) == (1.0, 0.0)
+        assert fields(np.ones(4), ScalarField.constant(1.0)) == (1.0, 0.0)
 
     def test_identity_function_hand_value(self):
-        cfg = Configuration(
-            states=np.array([1, 0, 0, 1], dtype=np.int8), time=0.0
-        )
-        mu, theta = empirical_fields(cfg, ScalarField.affine(0.0, 1.0))
+        mu, theta = fields([1, 0, 0, 1], ScalarField.affine(0.0, 1.0))
         assert mu == pytest.approx(5 / 16)
         assert theta == pytest.approx(5 / 16)
 
     def test_all_removed_gives_zero(self):
-        cfg = Configuration(states=-np.ones(6, dtype=np.int8), time=0.0)
-        assert empirical_fields(cfg, ScalarField.affine(1.0, 2.0)) == (0.0, 0.0)
+        assert fields(-np.ones(6), ScalarField.affine(1.0, 2.0)) == (0.0, 0.0)
 
     def test_linearity_in_f(self):
         rng = np.random.default_rng(2)
-        states = rng.choice([-1, 0, 1], size=12).astype(np.int8)
-        cfg = Configuration(states=states, time=0.0)
+        states = rng.choice([-1, 0, 1], size=12)
         f = ScalarField.affine(0.5, 1.0)
         g = ScalarField.table([0.2, 0.9, 0.1, 0.5])
         combo = ScalarField.table(
             list(2.0 * f.at_sites(12) - 3.0 * g.at_sites(12))
         )
-        mu_c, th_c = empirical_fields(cfg, combo)
-        mu_f, th_f = empirical_fields(cfg, f)
-        mu_g, th_g = empirical_fields(cfg, g)
+        mu_c, th_c = fields(states, combo)
+        mu_f, th_f = fields(states, f)
+        mu_g, th_g = fields(states, g)
         assert mu_c == pytest.approx(2 * mu_f - 3 * mu_g)
         assert th_c == pytest.approx(2 * th_f - 3 * th_g)
 
     def test_centered_at_truth_gives_zero(self):
-        cfg = Configuration(
-            states=np.array([1, 0, 1], dtype=np.int8), time=0.0
-        )
-        mean_i = (cfg.states == INFECTED).astype(float)
-        mean_s = (cfg.states == SUSCEPTIBLE).astype(float)
-        eta, beta = fluctuation_fields(
-            cfg, mean_i, mean_s, ScalarField.affine(1.0, 1.0)
-        )
-        assert eta == 0.0
-        assert beta == 0.0
+        states = np.array([1, 0, 1], dtype=np.int8)
+        res = one_config(states)
+        f = ScalarField.affine(1.0, 1.0)
+        mean_i = (states == INFECTED).astype(float)
+        mean_s = (states == SUSCEPTIBLE).astype(float)
+        assert res.eta(f, 0, mean=mean_i)[0] == 0.0
+        assert res.beta(f, 0, mean=mean_s)[0] == 0.0
 
     def test_single_urn_hand_value(self):
-        cfg = Configuration(states=np.array([1], dtype=np.int8), time=0.0)
-        eta, _ = fluctuation_fields(
-            cfg, np.array([0.5]), np.array([0.5]), ScalarField.constant(1.0)
-        )
-        assert eta == pytest.approx(0.5)
+        eta = one_config([1]).eta(ScalarField.constant(1.0), 0,
+                                  mean=np.array([0.5]))
+        assert eta[0] == pytest.approx(0.5)
 
     def test_balanced_beta_cancels(self):
-        cfg = Configuration(
-            states=np.array([0, 0, 1, 1], dtype=np.int8), time=0.0
-        )
-        _, beta = fluctuation_fields(
-            cfg, np.full(4, 0.5), np.full(4, 0.5), ScalarField.constant(1.0)
-        )
-        assert beta == pytest.approx(0.0)
+        beta = one_config([0, 0, 1, 1]).beta(ScalarField.constant(1.0), 0,
+                                             mean=np.full(4, 0.5))
+        assert beta[0] == pytest.approx(0.0)
 
     def test_mean_length_mismatch(self):
-        cfg = Configuration(states=np.zeros(3, dtype=np.int8), time=0.0)
+        res = one_config(np.zeros(3))
         with pytest.raises(ValueError):
-            fluctuation_fields(
-                cfg, np.zeros(2), np.zeros(3), ScalarField.constant(1.0)
-            )
+            res.eta(ScalarField.constant(1.0), 0, mean=np.zeros(2))
+        with pytest.raises(ValueError):
+            res.beta(ScalarField.constant(1.0), 0, mean=np.zeros(2))
 
     @settings(max_examples=25)
     @given(st.integers(1, 30), st.integers(0, 10_000))
     def test_field_bounds(self, n, seed):
         rng = np.random.default_rng(seed)
-        states = rng.choice([-1, 0, 1], size=n).astype(np.int8)
-        cfg = Configuration(states=states, time=0.0)
-        f = ScalarField.constant(1.0)
-        mu, theta = empirical_fields(cfg, f)
+        states = rng.choice([-1, 0, 1], size=n)
+        mu, theta = fields(states, ScalarField.constant(1.0))
         assert 0.0 <= mu <= 1.0
         assert 0.0 <= theta <= 1.0
         assert mu + theta <= 1.0 + 1e-12
