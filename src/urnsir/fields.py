@@ -228,11 +228,7 @@ class Kernel:
         mirrors the empirical sums (1/N) sum_j f(j/N) exactly.
         """
         values = np.asarray(values, dtype=float)
-        m = values.shape[-1]
-        left, right = self.factors(m)
-        # sum along the last axis, as values.mean(-1) does: constant and
-        # separable kernels then give the closed-form sums bit for bit
-        return ((right.T * values[..., None, :]).sum(-1) / m).dot(left.T)
+        return _node_sum(*self.factors(values.shape[-1]), values)
 
     def min_value(self) -> float:
         if self.form == "constant":
@@ -265,6 +261,16 @@ class Kernel:
 def _hat(u: np.ndarray, m: int) -> np.ndarray:
     """Hat functions of the corner-inclusive grid k/(M-1) at u, (..., M)."""
     return np.maximum(0.0, 1.0 - np.abs(u[..., None] * (m - 1) - np.arange(m)))
+
+
+def _node_sum(left: np.ndarray, right: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """:meth:`Kernel.node_average` from the kernel's factors on the grid of
+    ``values``, for callers that look the factors up once."""
+    # sum along the last axis, as values.mean(-1) does: constant and
+    # separable kernels then give the closed-form sums bit for bit
+    return ((right.T * values[..., None, :]).sum(-1)
+            / values.shape[-1]).dot(left.T)
 
 
 @lru_cache(maxsize=32)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvout import write_time_rows
-from .fields import TestFunction, sites
+from .fields import TestFunction, _node_sum, sites
 from .model import ModelSpec
 from .rk4 import rk4, time_index, time_steps
 
@@ -111,10 +111,11 @@ class DensityField:
 def _density_rhs(spec: ModelSpec, m: int):
     """Right-hand side f(y, j) of the stacked state y = (rho1, rho0)."""
     psi_v = spec.psi.at_sites(m)
+    left, right = spec.lam.factors(m)
 
     def f(y, j=None):
         rho1, rho0 = y
-        force = spec.lam.node_average(rho1)
+        force = _node_sum(left, right, rho1)
         return np.array([-psi_v * rho1 + rho0 * force, -rho0 * force])
 
     return f

@@ -14,6 +14,12 @@ the Poisson tail truncated below ``tol`` in total variation.
 Everything here is the independent reference ("oracle") that the Monte Carlo
 machinery is validated against, so the implementation favors obvious
 correctness over speed; N is capped at 10 urns.
+
+scipy is imported where it is used: ``scipy.sparse`` in
+:func:`build_generator` and ``scipy.special`` in the Poisson weights of
+:func:`transient_distribution`.  ``import urnsir`` therefore loads no scipy;
+``validate oracle`` and ``validate cov`` (its exact small-N anchor) load
+both at their first generator build and transient.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .model import Configuration, ModelSpec
 
@@ -95,7 +99,7 @@ class GeneratorMatrix:
     """Sparse generator plus the uniformization constant used with it."""
 
     spec: ModelSpec
-    Q: sparse.csr_matrix
+    Q: "scipy.sparse.csr_matrix"
     uniformization_rate: float
 
     @property
@@ -105,6 +109,8 @@ class GeneratorMatrix:
 
 def build_generator(spec: ModelSpec) -> GeneratorMatrix:
     """Assemble the 3^N x 3^N generator of the jump process."""
+    from scipy import sparse
+
     n = _check_capacity(spec.N)
     digits = enumerate_states(n)
     n_states = digits.shape[0]
@@ -169,6 +175,8 @@ def initial_distribution(spec: ModelSpec) -> np.ndarray:
 def _poisson_weights(mu: float, tol: float) -> np.ndarray:
     """Poisson(mu) pmf at 0 .. k + 1, k the least with P(> k) <= tol (the
     ``scipy.stats.poisson`` isf and pmf, from the special functions)."""
+    from scipy.special import gammaln, pdtr, pdtrik, xlogy
+
     k = math.ceil(pdtrik(1.0 - tol, mu))
     if k > 0 and pdtr(k - 1, mu) >= 1.0 - tol:
         k -= 1

@@ -10,6 +10,11 @@ Statistical conventions used throughout:
     the normality test); small-N reports may center at exact marginals;
   - bands are 3 standard errors unless a check states otherwise;
   - p-values come from scipy.special, not the slow-to-import scipy.stats;
+    each function imports what it uses at its call, so ``import urnsir``
+    loads no scipy.  ``validate clt`` loads scipy.special for its KS test,
+    ``validate dynkin`` for its z bound, and ``validate oracle`` and
+    ``validate cov`` load scipy.sparse and scipy.special through the exact
+    oracle; ``validate lln`` and the construction report load none;
   - thresholds are keyword arguments with the documented defaults, so a
     failed check is always an explicit exit-code-3 event, never a silent
     relaxation.
@@ -23,7 +28,6 @@ from dataclasses import dataclass, replace as dc_replace
 import csv
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov, ndtr, ndtri
 
 from .ensemble import EnsembleSpec, _batches, run_clock_ensemble, run_ensemble
 from .fields import ScalarField, TestFunction
@@ -310,6 +314,8 @@ def covariance_anchor_report(
 def _ks_normal(z: np.ndarray) -> tuple[float, float]:
     """KS statistic and asymptotic p-value of z against N(0, 1), as
     ``scipy.stats.kstest(z, "norm", method="asymp")`` computes them."""
+    from scipy.special import kolmogorov, ndtr
+
     n = z.size
     cdf = ndtr(np.sort(z))
     d = max((np.arange(1.0, n + 1) / n - cdf).max(),
@@ -495,6 +501,8 @@ def dynkin_report(
     ensemble centering plus the shared expectation term make mean M
     near-deterministically small, so the raw z is the sharper diagnostic.
     """
+    from scipy.special import ndtri
+
     if f is None:
         f = _ONE
     if not 0.0 < t <= model.T:
@@ -566,6 +574,8 @@ def _chi_square(counts: np.ndarray, expected: np.ndarray):
     Cells with expectation < 5 are pooled into one cell.  A count in a cell
     of expectation 0 is impossible under the model and gives p = 0.
     """
+    from scipy.special import chdtrc
+
     if np.any((expected == 0) & (counts > 0)):
         return math.inf, 0, 0.0
     big = expected >= 5.0

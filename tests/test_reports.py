@@ -1,8 +1,10 @@
 import csv
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -230,9 +232,77 @@ def test_special_function_p_values_equal_scipy_stats():
         assert _ks_normal(z) == (want.statistic, want.pvalue)
 
 
-def test_import_does_not_load_scipy_stats():
-    code = "import sys, urnsir; print('scipy.stats' in sys.modules)"
+def run_fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this suite's path."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(textwrap.dedent("""\
+        [model]
+        N = 4
+        T = 0.5
+
+        [lambda]
+        form = constant
+        lam0 = 1.5
+
+        [psi]
+        form = constant
+        values = 1.0
+
+        [phi]
+        form = constant
+        values = 0.4
+
+        [grid]
+        M = 4
+        dt = 0.1
+        """))
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    out = run_fresh(
+        "import sys, urnsir, urnsir.cli\n"
+        f"urnsir.load_config({str(cfg)!r})\n"
+        f"assert urnsir.cli.main({argv!r}) == 0\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+    assert (tmp_path / "out" / "density.csv").is_file()
+    assert out.splitlines()[-1] == "[]"
+
+
+# Every function that imports scipy at its first call, run once; the
+# subprocess test runs this from a cold start, the suite with scipy loaded.
+COLD_CALLS = """\
+import dataclasses, sys
+import numpy as np
+from urnsir.fields import Kernel, ScalarField
+from urnsir.model import ModelSpec
+from urnsir.oracle import (build_generator, initial_distribution,
+                           transient_distribution)
+from urnsir.reports import _chi_square, _ks_normal, dynkin_report
+
+cold = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+spec = ModelSpec(lam=Kernel.constant(1.5), psi=ScalarField.constant(1.0),
+                 phi=ScalarField.constant(0.4), N=3, T=1.0)
+gen = build_generator(spec)
+rep = dynkin_report(spec, 404, t=0.5, replicas=12, dt_report=0.1)
+values = {
+    "transient": transient_distribution(
+        gen, initial_distribution(spec), 0.5).tolist(),
+    "chi_square": _chi_square(np.array([9, 14, 2, 3]),
+                              np.array([10.0, 12.0, 4.5, 1.5])),
+    "ks_normal": _ks_normal(np.linspace(-2.0, 2.5, 40)),
+    "dynkin": (rep.passed, [dataclasses.astuple(r) for r in rep.records]),
+}
+"""
+
+
+def test_cold_scipy_imports_give_in_process_values():
+    out = json.loads(run_fresh(
+        COLD_CALLS + "import json\nprint(json.dumps([cold, values]))\n"))
+    warm = {}
+    exec(COLD_CALLS, warm)
+    assert out[0] == []
+    assert out[1] == json.loads(json.dumps(warm["values"]))
