@@ -11,6 +11,11 @@ spec hash, master seed).  Exit codes: 0 success, 2 configuration error
 check (``reports.construction_report``) is API-only.  Acceptance check
 ``test_02`` and ``perfbench`` call it directly, and wiring it in here would
 add configuration keys that nothing needs.
+
+Unlike the package namespace, this module imports every function it
+dispatches to when it loads, so each is an attribute of ``urnsir.cli``
+that a caller can look up or replace before ``main`` runs:
+``perfbench/spans.py`` wraps them there to time each call.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ package rejects later, to exit code 2.
 from __future__ import annotations
 
 import configparser
-import hashlib
 from dataclasses import dataclass, field
 
 from .fields import Kernel, ScalarField
@@ -222,5 +221,7 @@ def canonical_model_text(model: ModelSpec) -> str:
 
 def spec_hash(model: ModelSpec) -> str:
     """First 16 hex digits of the canonical serialization's SHA-256."""
+    import hashlib
+
     digest = hashlib.sha256(canonical_model_text(model).encode())
     return digest.hexdigest()[:16]

@@ -174,7 +174,9 @@ class CovarianceTrajectory:
             raise ValueError("covariance blocks must be 2M x 2M")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "covariances", covs)
-        scale = max(1.0, float(np.max(np.abs(covs))) if covs.size else 1.0)
+        # max |C| as max(max C, -min C): np.abs would copy every matrix
+        top = float(max(covs.max(), -covs.min())) if covs.size else 1.0
+        scale = max(1.0, top)
         floor = min(PSD_FLOOR, -self.dt**4) * scale
         for k in range(times.size):
             c = covs[k]
@@ -209,9 +211,13 @@ def evolve_covariance(
     n = series.n_steps
     if store_every is None:
         store_every = max(1, n // 200) if n else 1
+    if store_every < 1:
+        raise ValueError("store_every must be a positive integer")
     h = series.dt
     times = [0.0]
-    stored = [c]
+    # time 0, every store_every-th step and the last step
+    stored = np.empty((1 + -(-n // store_every), 2 * m, 2 * m))
+    stored[0] = c
 
     top = np.arange(m)
     bottom = top + m
@@ -229,10 +235,10 @@ def evolve_covariance(
 
     for k, c in enumerate(rk4(rhs, c, h, 0, n), 1):
         if k % store_every == 0 or k == n:
+            stored[len(times)] = c
             times.append(k * h)
-            stored.append(c)
     return CovarianceTrajectory(
-        times=np.asarray(times), covariances=np.asarray(stored), m=m, dt=h
+        times=np.asarray(times), covariances=stored, m=m, dt=h
     )
 
 

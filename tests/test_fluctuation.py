@@ -294,6 +294,15 @@ class TestCovariance:
         np.testing.assert_allclose(traj.times, [0.0, 0.5, 1.0], atol=1e-12)
         with pytest.raises(ValueError):
             traj.at(0.3)
+        # a stride that does not divide the steps still stores T last
+        every = evolve_covariance(series, store_every=1)
+        traj = evolve_covariance(series, store_every=3)
+        np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0],
+                                   atol=1e-12)
+        for t, c in zip(traj.times, traj.covariances):
+            np.testing.assert_array_equal(c, every.at(t))
+        with pytest.raises(ValueError, match="store_every"):
+            evolve_covariance(series, store_every=0)
 
     def test_bad_initial_shape_rejected(self):
         series = PanelSeries(hetero_spec(), 4, 0.1, 1.0)

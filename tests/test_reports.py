@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -270,6 +271,27 @@ def test_import_does_not_load_scipy(tmp_path):
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
     assert (tmp_path / "out" / "density.csv").is_file()
     assert out.splitlines()[-1] == "[]"
+
+
+def test_package_loads_a_module_when_a_name_is_first_used(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\nN = 4\nT = 0.5\n[lambda]\nform = constant\n"
+                   "lam0 = 1.5\n[psi]\nform = constant\nvalues = 1.0\n"
+                   "[phi]\nform = constant\nvalues = 0.4\n")
+    out = run_fresh(
+        "import sys, urnsir\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+        "                 ('urnsir', 'json', 'csv', 'hashlib')))\n"
+        f"urnsir.load_config({str(cfg)!r})\n"
+        "loaded()\n"
+        "urnsir.solve_density\n"
+        "loaded()\n")
+    after_config, after_solver = map(ast.literal_eval, out.splitlines()[-2:])
+    assert after_config == ["urnsir", "urnsir.config", "urnsir.fields",
+                            "urnsir.model", "urnsir.streams"]
+    assert "urnsir.hydro" in after_solver
+    assert "urnsir.gillespie" not in after_solver
 
 
 # Every function that imports scipy at its first call, run once; the
