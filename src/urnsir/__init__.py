@@ -21,7 +21,8 @@ _EXPORTS = {
     "ensemble": ("EnsembleResult", "EnsembleSpec", "run_clock_ensemble",
                  "run_ensemble"),
     "fields": ("Kernel", "ScalarField", "TestFunction", "sites"),
-    "fluctuation": ("CovarianceTrajectory", "PanelSeries", "evolve_covariance",
+    "fluctuation": ("CovarianceTrajectory", "PanelSeries",
+                    "adjoint_pair_covariance", "evolve_covariance",
                     "initial_covariance", "pair_covariance", "propagate"),
     "gillespie": ("INFECTION", "RECOVERY", "Simulation", "Trajectory",
                   "lockstep_states", "replay", "simulate", "snapshot_states",

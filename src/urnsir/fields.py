@@ -263,14 +263,15 @@ def _hat(u: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(u[..., None] * (m - 1) - np.arange(m)))
 
 
-def _node_sum(left: np.ndarray, right: np.ndarray,
-              values: np.ndarray) -> np.ndarray:
+def _node_sum(left: np.ndarray, right: np.ndarray, values: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
     """:meth:`Kernel.node_average` from the kernel's factors on the grid of
-    ``values``, for callers that look the factors up once."""
+    ``values``, for callers that look the factors up once; written into
+    ``out`` when given."""
     # sum along the last axis, as values.mean(-1) does: constant and
     # separable kernels then give the closed-form sums bit for bit
-    return ((right.T * values[..., None, :]).sum(-1)
-            / values.shape[-1]).dot(left.T)
+    sums = np.add.reduce(right.T * values[..., None, :], -1)
+    return np.dot(sums / values.shape[-1], left.T, out)
 
 
 @lru_cache(maxsize=32)

@@ -52,12 +52,13 @@ def _check(lam0: float, phi0: float) -> None:
 
 
 def _fraction_rhs(lam0: float):
-    """Right-hand side f(y, j) of the fractions y = (i, s)."""
+    """Right-hand side f(y, j, out) of the fractions y = (i, s)."""
 
-    def f(y, j=None):
+    def f(y, j, out):
         i, s = y
         flux = lam0 * i * s
-        return np.array([-i + flux, -flux])
+        out[0] = -i + flux
+        out[1] = -flux
 
     return f
 
@@ -92,13 +93,13 @@ def classic_clt_covariance(
     traj[0] = [[phi0, 1.0 - phi0], [q, -q], [-q, q]]
     fractions = _fraction_rhs(lam0)
 
-    def f(y, j):
+    def f(y, j, out):
         (i, s), sigma = y[0], y[1:]
         flux = lam0 * i * s
         a = np.array([[lam0 * s - 1.0, lam0 * i], [-lam0 * s, -lam0 * i]])
         b = np.array([[i + flux, -flux], [-flux, flux]])
-        ds = a @ sigma + sigma @ a.T + b
-        return np.concatenate((fractions(y[0])[None], ds))
+        out[1:] = a @ sigma + sigma @ a.T + b
+        fractions(y[0], j, out[0])
 
     for k, y in enumerate(rk4(f, traj[0], h, 0, n), 1):
         traj[k] = y

@@ -17,6 +17,7 @@ No clipping is applied anywhere: bound violations beyond tolerance raise
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 BOUNDS_TOL = 1e-8
+_BLOCK_ROWS = 64  # stored states per block of the bounds check
 
 
 class DensityBoundsError(ValueError):
@@ -108,17 +110,73 @@ class DensityField:
         return float(self.rho1[self.index_of(t)].mean())
 
 
-def _density_rhs(spec: ModelSpec, m: int):
-    """Right-hand side f(y, j) of the stacked state y = (rho1, rho0)."""
-    psi_v = spec.psi.at_sites(m)
-    left, right = spec.lam.factors(m)
+def _density_rhs(spec: ModelSpec, ms: tuple):
+    """Right-hand side f(y, j, out) of the stacked state y = (rho1, rho0).
 
-    def f(y, j=None):
-        rho1, rho0 = y
-        force = _node_sum(left, right, rho1)
-        return np.array([-psi_v * rho1 + rho0 * force, -rho0 * force])
+    The node grids of ``ms`` lie side by side along the last axis, and each
+    takes its kernel node sum on its own slice, so every grid's derivative
+    is the one it has alone.
+    """
+    rungs = [(cut, *spec.lam.factors(m)) for cut, m in zip(_cuts(ms), ms)]
+    psi_v = np.concatenate([spec.psi.at_sites(m) for m in ms])
+    force = np.empty(sum(ms))
+
+    def f(y, j, out):
+        rho1, rho0, d1, d0 = y[0], y[1], out[0], out[1]
+        for cut, left, right in rungs:
+            _node_sum(left, right, rho1[cut], force[cut])
+        np.multiply(rho0, force, d0)
+        np.subtract(d0, np.multiply(psi_v, rho1, d1), d1)
+        np.negative(d0, d0)
 
     return f
+
+
+def _solve_grids(spec: ModelSpec, ms: tuple, dt: float,
+                 T: float) -> list[DensityField]:
+    """:func:`solve_density` on the grids M = ms[0], ms[1], ... in one solve.
+
+    The grids share the time grid of (T, dt) and step as one state, with
+    their nodes side by side; each field equals its own solve bit for bit,
+    and each is checked for bounds on its own.
+    """
+    n, h = time_steps(T, dt)
+    rho1 = np.empty((n + 1, sum(ms)))
+    rho0 = np.empty((n + 1, sum(ms)))
+    rho1[0] = np.concatenate([spec.phi.at_sites(m) for m in ms])
+    rho0[0] = 1.0 - rho1[0]
+    steps = rk4(_density_rhs(spec, ms), np.array([rho1[0], rho0[0]]), h, 0, n)
+    for k, y in enumerate(steps, 1):
+        rho1[k], rho0[k] = y
+
+    times = np.arange(n + 1) * h
+    fields = []
+    for cut in _cuts(ms):
+        _check_bounds(rho1[:, cut], rho0[:, cut])
+        fields.append(DensityField(times, rho1[:, cut], rho0[:, cut]))
+    return fields
+
+
+def _cuts(ms: tuple) -> list[slice]:
+    """The slices of grids of sizes ms laid side by side."""
+    ends = list(itertools.accumulate(ms))
+    return [slice(b - m, b) for m, b in zip(ms, ends)]
+
+
+def _check_bounds(rho1: np.ndarray, rho0: np.ndarray) -> None:
+    """Raise :class:`DensityBoundsError` unless the stored states keep their
+    bounds; blocks of rows keep the temporaries small."""
+    rows = range(0, len(rho1), _BLOCK_ROWS)
+    low = min(rho1.min(), rho0.min())
+    high = np.max([(rho1[k:k + _BLOCK_ROWS] + rho0[k:k + _BLOCK_ROWS]).max()
+                   for k in rows])
+    if low < -BOUNDS_TOL or high > 1.0 + BOUNDS_TOL:
+        raise DensityBoundsError(
+            f"density bounds violated: min={low:.3e}, max sum={high:.6f}"
+        )
+    if any((np.diff(rho0[k:k + _BLOCK_ROWS + 1], axis=0) > BOUNDS_TOL).any()
+           for k in rows):
+        raise DensityBoundsError("susceptible density must be nonincreasing")
 
 
 def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
@@ -127,25 +185,7 @@ def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
     Raises :class:`DensityBoundsError` if any stored state leaves
     [0 - tol, ...] or rho1 + rho0 exceeds 1 + tol.
     """
-    m = grid.M
-    n, h = time_steps(grid.T, grid.dt)
-    rho1 = np.empty((n + 1, m))
-    rho0 = np.empty((n + 1, m))
-    rho1[0] = spec.phi.at_sites(m)
-    rho0[0] = 1.0 - rho1[0]
-    steps = rk4(_density_rhs(spec, m), np.array([rho1[0], rho0[0]]), h, 0, n)
-    for k, y in enumerate(steps, 1):
-        rho1[k], rho0[k] = y
-
-    low = min(rho1.min(), rho0.min())
-    high = (rho1 + rho0).max()
-    if low < -BOUNDS_TOL or high > 1.0 + BOUNDS_TOL:
-        raise DensityBoundsError(
-            f"density bounds violated: min={low:.3e}, max sum={high:.6f}"
-        )
-    if np.any(np.diff(rho0, axis=0) > BOUNDS_TOL):
-        raise DensityBoundsError("susceptible density must be nonincreasing")
-    return DensityField(times=np.arange(n + 1) * h, rho1=rho1, rho0=rho0)
+    return _solve_grids(spec, (grid.M,), grid.dt, grid.T)[0]
 
 
 def density_residual(field: DensityField, spec: ModelSpec) -> float:
@@ -157,13 +197,15 @@ def density_residual(field: DensityField, spec: ModelSpec) -> float:
     """
     if field.times.size < 3:
         raise ValueError("residual needs at least three stored times")
-    f = _density_rhs(spec, field.m)
+    f = _density_rhs(spec, (field.m,))
+    deriv = np.empty((2, field.m))
     worst = 0.0
     for k in range(1, field.times.size - 1):
         h2 = field.times[k + 1] - field.times[k - 1]
         d1 = (field.rho1[k + 1] - field.rho1[k - 1]) / h2
         d0 = (field.rho0[k + 1] - field.rho0[k - 1]) / h2
-        f1, f0 = f((field.rho1[k], field.rho0[k]))
+        f((field.rho1[k], field.rho0[k]), None, deriv)
+        f1, f0 = deriv
         worst = max(
             worst,
             float(np.max(np.abs(d1 - f1))),

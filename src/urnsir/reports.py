@@ -31,10 +31,16 @@ import numpy as np
 
 from .ensemble import EnsembleSpec, _batches, run_clock_ensemble, run_ensemble
 from .fields import ScalarField, TestFunction
-from .fluctuation import PanelSeries, evolve_covariance, pair_covariance
-# simulate is not called here; the benchmark's traced run wraps this name
+# evolve_covariance, pair_covariance, solve_density and simulate are not
+# called here; the benchmark's traced run wraps these names
+from .fluctuation import (  # noqa: F401
+    PanelSeries,
+    adjoint_pair_covariance,
+    evolve_covariance,
+    pair_covariance,
+)
 from .gillespie import _Engine, _run, simulate  # noqa: F401
-from .hydro import GridSpec, solve_density
+from .hydro import _solve_grids, solve_density  # noqa: F401
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec, initial_states
 from .oracle import (
     build_generator,
@@ -130,10 +136,11 @@ def lln_report(
     records: list[ReportRecord] = []
     lines: list[str] = []
     rms = []
-    for n in ns:
-        spec_n = model.with_n(int(n))
-        density = solve_density(spec_n, GridSpec(M=int(n), dt=dt, T=t))
-        target = density.node_integral(t, f)
+    specs = [model.with_n(int(n)) for n in ns]
+    # every rung's density in one solve, each on its own node grid M = N
+    targets = [density.node_integral(t, f) for density in
+               _solve_grids(model, tuple(s.N for s in specs), dt, t)]
+    for n, spec_n, target in zip(ns, specs, targets):
         ens = EnsembleSpec(
             model=spec_n, replicas=replicas, master_seed=master_seed,
             snapshot_times=(t,),
@@ -338,6 +345,10 @@ def clt_report(
 ) -> Report:
     """Empirical (eta, beta) moments against the Lyapunov covariance.
 
+    The theory is the 2x2 pairing at t from two adjoint weight columns
+    (:func:`urnsir.fluctuation.adjoint_pair_covariance`); the whole
+    2M x 2M covariance is never formed.
+
     Checks: Var(eta_t(f)) and Var(beta_t(g)) within ``rel_tol`` of theory,
     Kolmogorov-Smirnov normality of standardized eta_t(f) (asymptotic
     p-value > ``ks_threshold``), and the t=0 variance against the exact
@@ -350,9 +361,7 @@ def clt_report(
     if not 0.0 < t <= model.T:
         raise ValueError("t must lie in (0, T]")
     n = model.N
-    series = PanelSeries(model, m_grid, dt, t)
-    traj = evolve_covariance(series)
-    theory = pair_covariance(traj.covariances[-1], f, g, m_grid)
+    theory = adjoint_pair_covariance(PanelSeries(model, m_grid, dt, t), f, g)
     var_eta_th, cov_th, var_beta_th = (
         theory[0, 0], theory[0, 1], theory[1, 1]
     )

@@ -60,10 +60,12 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _M0 = 0xD2E7470EE14C6C93
 _M1 = 0xCA5A826395121157
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
 _ROUNDS = 10
 _WORD_MAX = (1 << 64) - 1
+# the key words of round r are the key plus r (W0, W1), mod 2^64
+_KEY_BUMPS = [(np.uint64(r * 0x9E3779B97F4A7C15 & _WORD_MAX),
+               np.uint64(r * 0xBB67AE8584CAA73B & _WORD_MAX))
+              for r in range(_ROUNDS)]
 
 
 def _check_component(value: int) -> int:
@@ -96,31 +98,55 @@ def derive_rng(seed: int, domain: int, *index: int,
     return np.random.Generator(bits)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product m * x, elementwise."""
+def _mulhi_xor(m: int, x: np.ndarray, acc: np.ndarray, t: list) -> None:
+    """acc ^= the high word of the 128-bit product m * x, elementwise.
+
+    Fourteen in-place operations on 32-bit halves (Warren, Hacker's
+    Delight, 8-2), with the four work buffers ``t``; x is left as it is.
+    """
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo = x & _MASK32
-    x_hi = x >> _SHIFT32
-    lo_lo = x_lo * m_lo
-    hi_lo = x_hi * m_lo
-    lo_hi = x_lo * m_hi
-    mid = (lo_lo >> _SHIFT32) + (hi_lo & _MASK32) + (lo_hi & _MASK32)
-    hi = x_hi * m_hi + (hi_lo >> _SHIFT32) + (lo_hi >> _SHIFT32)
-    hi += mid >> _SHIFT32
-    return hi, x * np.uint64(m)
+    x_lo, x_hi, w, u = t
+    np.bitwise_and(x, _MASK32, out=x_lo)
+    np.right_shift(x, _SHIFT32, out=x_hi)
+    np.multiply(x_lo, m_lo, out=w)
+    w >>= _SHIFT32
+    np.multiply(x_hi, m_lo, out=u)
+    u += w  # x_hi m_lo + carry of x_lo m_lo: below 2^64
+    np.bitwise_and(u, _MASK32, out=w)
+    u >>= _SHIFT32
+    x_lo *= m_hi
+    w += x_lo
+    w >>= _SHIFT32
+    x_hi *= m_hi
+    x_hi += u
+    x_hi += w
+    acc ^= x_hi
 
 
-def _philox_chunk(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
-    k0, k1 = key[:, 0], key[:, 1]
-    c0, c1, c2, c3 = ctr[:, 0], ctr[:, 1], ctr[:, 2], ctr[:, 3]
-    for r in range(_ROUNDS):
-        if r:
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+def _philox_chunk(key: np.ndarray, ctr: np.ndarray, out: np.ndarray,
+                  buf: np.ndarray) -> None:
+    """Philox4x64-10 blocks of ``ctr`` under ``key`` into ``out``, (n, 4).
+
+    The ten rounds run in place on the eight word rows of ``buf``, (8, >= n):
+    four counter words and four work words.  A round XORs its key words
+    into c1 and c3, then the high products of c2 and c0 into them, and
+    turns c2 and c0 into their low products; naming the four rows anew
+    gives the next (c0, c1, c2, c3) without a copy.
+    """
+    n = len(key)
+    c0, c1, c2, c3, *t = buf[:, :n]
+    for word, row in zip(ctr.T, (c0, c1, c2, c3)):
+        row[...] = word
+    for bump0, bump1 in _KEY_BUMPS:
+        c1 ^= np.add(key[:, 0], bump0, out=t[0])
+        c3 ^= np.add(key[:, 1], bump1, out=t[0])
+        _mulhi_xor(_M1, c2, c1, t)
+        _mulhi_xor(_M0, c0, c3, t)
+        c2 *= _M1
+        c0 *= _M0
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    for row, word in zip((c0, c1, c2, c3), out.T):
+        word[...] = row
 
 
 def philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
@@ -129,16 +155,17 @@ def philox(key: np.ndarray, counter: np.ndarray) -> np.ndarray:
     The block function itself, with no counter increment: the words of
     ``np.random.Philox(key=k, counter=c).random_raw(4)`` are
     ``philox(k, c + 1)``.  At most ``CHUNK`` counters are evaluated at a
-    time.
+    time, in eight reused word buffers of that length.
     """
     key = np.asarray(key, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
     if key.ndim != 2 or key.shape[1] != 2 or counter.shape != (len(key), 4):
         raise ValueError("need (n, 2) keys and (n, 4) counters")
     out = np.empty((len(key), 4), dtype=np.uint64)
+    buf = np.empty((8, min(len(key), CHUNK)), dtype=np.uint64)
     for lo in range(0, len(key), CHUNK):
         hi = lo + CHUNK
-        out[lo:hi] = _philox_chunk(key[lo:hi], counter[lo:hi])
+        _philox_chunk(key[lo:hi], counter[lo:hi], out[lo:hi], buf)
     return out
 
 

@@ -328,6 +328,8 @@ class TestCli:
             raise AssertionError("the Lyapunov solve ran before the seed check")
 
         monkeypatch.setattr("urnsir.reports.evolve_covariance", forbidden)
+        monkeypatch.setattr("urnsir.reports.adjoint_pair_covariance",
+                            forbidden)
         cfg = write_ini(tmp_path / "run.ini", BASE)
         for kind in ("oracle", "clt"):
             code = main(["validate", kind, "--config", cfg, "--out",

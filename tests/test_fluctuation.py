@@ -8,6 +8,7 @@ from urnsir.fields import Kernel, ScalarField, sites
 from urnsir.fluctuation import (
     CovarianceTrajectory,
     PanelSeries,
+    adjoint_pair_covariance,
     evolve_covariance,
     initial_covariance,
     pair_covariance,
@@ -120,9 +121,9 @@ class TestDrift:
         traj = evolve_covariance(series, store_every=1,
                                  include_noise=include_noise)
 
-        def rhs(c, j):
+        def rhs(c, j, out):
             s, q = dense_operators(series, j)
-            return s @ c + c @ s.T + (q if include_noise else 0.0)
+            out[:] = s @ c + c @ s.T + (q if include_noise else 0.0)
 
         c0 = initial_covariance(series.spec, 5)
         expect = np.asarray([c0] + list(rk4(rhs, c0, series.dt, 0,
@@ -166,6 +167,7 @@ class TestDrift:
             monkeypatch.setattr(Kernel, name, forbidden)
         evolve_covariance(series)
         propagate(series, 0.2, 1.0)
+        adjoint_pair_covariance(series, ONE, ONE)
 
 
 class TestPropagator:
@@ -378,3 +380,39 @@ class TestOutputs:
         assert float(rows[-1][1]) == pytest.approx(v[0, 0], rel=1e-10)
         assert float(rows[-1][2]) == pytest.approx(v[0, 1], rel=1e-10)
         assert float(rows[-1][3]) == pytest.approx(v[1, 1], rel=1e-10)
+
+
+class TestAdjointPairing:
+    # the constant and the table models of acceptance checks 06 and 11, on
+    # a 32-node grid at their dt, so that the dense solve stays cheap
+    MODELS = {
+        "constant": ModelSpec(
+            lam=Kernel.constant(2.0), psi=ScalarField.constant(1.0),
+            phi=ScalarField.constant(0.2), N=2000, T=1.0,
+        ),
+        "table": ModelSpec(
+            lam=Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4],
+                              [1.4, 2.6, 3.0]]),
+            psi=ScalarField.affine(0.5, 1.0),
+            phi=ScalarField.affine(0.1, 0.4), N=200, T=1.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_the_dense_lyapunov_pairing(self, name):
+        series = PanelSeries(self.MODELS[name], 32, 1e-3, 1.0)
+        last = evolve_covariance(series, store_every=series.n_steps)
+        affine = ScalarField.affine(0.5, 1.0)
+        for f, g in ((ONE, ONE), (affine, affine), (ONE, affine)):
+            dense = pair_covariance(last.covariances[-1], f, g, 32)
+            np.testing.assert_allclose(adjoint_pair_covariance(series, f, g),
+                                       dense, rtol=1e-12, atol=0.0)
+
+    def test_zero_horizon_is_the_initial_pairing(self):
+        series = PanelSeries(hetero_spec(), 6, 0.1, 0.0)
+        f = ScalarField.affine(0.3, 0.9)
+        np.testing.assert_allclose(
+            adjoint_pair_covariance(series, f, ONE),
+            pair_covariance(initial_covariance(series.spec, 6), f, ONE, 6),
+            rtol=1e-14,
+        )

@@ -12,8 +12,10 @@ from urnsir.hydro import (
     density_residual,
     solve_density,
     write_density_csv,
+    _solve_grids,
 )
 from urnsir.model import ModelSpec
+from urnsir.rk4 import time_steps
 
 
 def hetero_spec(T=1.0):
@@ -254,3 +256,48 @@ def test_density_csv_bytes(tmp_path, m, times):
                              f"{field.rho1[k, j]:.12g}",
                              f"{field.rho0[k, j]:.12g}"])
     assert path.read_bytes() == buf.getvalue().encode()
+
+
+def textbook_density(spec, m, dt, T):
+    """(n+1, 2, M) states of the density ODE by the textbook RK4 formulas,
+    a new array for every stage, in the operation order of rk4."""
+    n, h = time_steps(T, dt)
+    psi = spec.psi.at_sites(m)
+
+    def f(y):
+        force = spec.lam.node_average(y[0])
+        return np.array([-psi * y[0] + y[1] * force, -y[1] * force])
+
+    phi = spec.phi.at_sites(m)
+    y = np.array([phi, 1.0 - phi])
+    states = [y]
+    for _ in range(n):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("ms", [(7, 13, 401, 1000), (50, 200, 800)])
+def test_grids_solved_together_equal_their_own_solves(ms):
+    # the lln ladder steps all rungs as one state; each rung's field must
+    # be the one the textbook formulas give on its grid alone, bit for bit
+    spec = ModelSpec(
+        lam=Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4], [1.4, 2.6, 3.0]]),
+        psi=ScalarField.affine(0.5, 1.0),
+        phi=ScalarField.affine(0.1, 0.4),
+        N=10,
+        T=1.0,
+    )
+    fields = _solve_grids(spec, ms, 0.02, 1.0)
+    assert [field.m for field in fields] == list(ms)
+    for m, field in zip(ms, fields):
+        want = textbook_density(spec, m, 0.02, 1.0)
+        assert np.array_equal(field.rho1, want[:, 0])
+        assert np.array_equal(field.rho0, want[:, 1])
+        alone = solve_density(spec, GridSpec(M=m, dt=0.02, T=1.0))
+        assert np.array_equal(field.times, alone.times)
+        assert np.array_equal(field.rho1, alone.rho1)

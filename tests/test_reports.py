@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 from urnsir.fields import Kernel, ScalarField
+from urnsir.fluctuation import PanelSeries, evolve_covariance, pair_covariance
 from urnsir.model import ModelSpec
 from urnsir.reports import (
     Report,
@@ -131,6 +132,26 @@ class TestClt:
     def test_time_validation(self):
         with pytest.raises(ValueError):
             clt_report(flat(T=1.0), SEED, t=0.0)
+
+    def test_theory_is_the_lyapunov_pairing(self):
+        # the adjoint columns give the dense solve's 2x2 pairing, with f
+        # read by eta and g by beta
+        spec = ModelSpec(
+            lam=Kernel.table([[0.5, 1.0], [1.2, 2.6]]),
+            psi=ScalarField.affine(0.5, 1.0),
+            phi=ScalarField.affine(0.1, 0.4), N=60, T=1.0,
+        )
+        f, g = ScalarField.affine(0.5, 1.0), ScalarField.affine(1.0, -0.5)
+        rep = clt_report(spec, SEED, f=f, g=g, t=0.8, replicas=20, m_grid=12,
+                         dt=1e-3)
+        by_name = {r.statistic: r.value for r in rep.records}
+        series = PanelSeries(spec, 12, 1e-3, 0.8)
+        dense = pair_covariance(evolve_covariance(series).covariances[-1],
+                                f, g, 12)
+        got = [by_name["var_eta_theory"], by_name["cov_eta_beta_theory"],
+               by_name["var_beta_theory"]]
+        np.testing.assert_allclose(got, dense[[0, 0, 1], [0, 1, 1]],
+                                   rtol=1e-12)
 
 
 class TestDynkin:

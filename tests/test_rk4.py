@@ -17,22 +17,60 @@ def small_spec():
 
 
 def test_half_step_index_is_time_over_half_step():
-    # y' = cos(t) read through f(y, j) at t = j*h/2; a wrong convention
-    # (say t = j*h) would not converge to sin(1) at all
+    # y' = cos(t) read through f(y, j, out) at t = j*h/2; a wrong
+    # convention (say t = j*h) would not converge to sin(1) at all
     errors = []
     dts = (0.1, 0.05, 0.025, 0.0125)
     for dt in dts:
         n, h = time_steps(1.0, dt)
-        for y in rk4(lambda y, j: np.cos(j * h / 2.0), 0.0, h, 0, n):
+
+        def f(y, j, out):
+            out[:] = np.cos(j * h / 2.0)
+
+        for y in rk4(f, np.zeros(1), h, 0, n):
             pass
-        errors.append(abs(y - np.sin(1.0)))
+        errors.append(abs(y[0] - np.sin(1.0)))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert slope == pytest.approx(4.0, abs=0.5)
 
 
+def test_steps_are_the_textbook_formulas_bit_for_bit():
+    # the in-place stages and update keep the operation order of
+    # y + (h/6) (k1 + 2 k2 + 2 k3 + k4) with stage inputs y + (c h) k
+    rng = np.random.default_rng(5)
+    mix = rng.normal(size=(3, 3))
+    h = 0.0731
+
+    def g(y, j):
+        return mix @ np.sin(y) + 0.01 * j - y**2
+
+    y0 = rng.normal(size=3)
+    y = y0
+    want = []
+    for k in range(4):
+        k1 = g(y, 2 * k)
+        k2 = g(y + 0.5 * h * k1, 2 * k + 1)
+        k3 = g(y + 0.5 * h * k2, 2 * k + 1)
+        k4 = g(y + h * k3, 2 * k + 2)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        want.append(y)
+
+    def f(y, j, out):
+        out[:] = g(y, j)
+
+    got = list(rk4(f, y0, h, 0, 4))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len({id(y) for y in got}) == len(got)  # a new array per step
+
+
 def test_start_offsets_the_half_step_index():
     seen = []
-    list(rk4(lambda y, j: seen.append(j) or 0.0, 0.0, 0.1, 3, 5))
+
+    def f(y, j, out):
+        seen.append(j)
+        out[:] = 0.0
+
+    list(rk4(f, np.zeros(1), 0.1, 3, 5))
     assert seen == [6, 7, 7, 8, 8, 9, 9, 10]
 
 

@@ -145,6 +145,24 @@ class TestBlockFunction:
         got = philox([key] * 3, [plus(counter, b) for b in (1, 2, 3)])
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 200, streams.CHUNK, streams.CHUNK + 3])
+    def test_batches_around_the_chunk_length(self, n):
+        # the rounds run in reused word buffers: one chunk, a full one, and
+        # a full one followed by a short one; rows cycle over three keys
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, TOP, size=(3, 2), dtype=np.uint64,
+                            endpoint=True)
+        starts = rng.integers(0, TOP, size=(3, 4), dtype=np.uint64,
+                              endpoint=True)
+        which = np.arange(n) % 3
+        block = np.arange(n) // 3
+        streams_of = [numpy_blocks(key, start, block[-1] + 1)
+                      for key, start in zip(keys, starts)]
+        want = np.array([streams_of[q][b] for q, b in zip(which, block)])
+        counters = [plus(starts[q], int(b) + 1)
+                    for q, b in zip(which, block)]
+        np.testing.assert_array_equal(philox(keys[which], counters), want)
+
     def test_chunks_join_seamlessly(self, monkeypatch):
         keys = [[3, r] for r in range(11)]
         counters = [[1, DOMAIN_INITIAL, 1, 0]] * 11
