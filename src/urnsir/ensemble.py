@@ -6,8 +6,20 @@ streams keyed (master_seed, r), so its rows equal the single trajectory
 growing an ensemble keeps every existing replica.  ``run_ensemble`` steps
 batches of replicas in lockstep and ``run_clock_ensemble`` evaluates the
 clock tables of a batch at once; a batch holds at most ``BATCH_CELLS``
-replica-urn state cells (replica-urn-urn cells for clock tables), which
-bounds memory.  Reductions happen afterwards in replica order.
+replica-urn state cells (replica-urn-urn cells for clock tables).  What a
+cell costs depends on the engine:
+
+* constant rates: an 8-byte urn permutation, plus, while a snapshot is
+  read, a copy of it for the rows read and three 1-byte temporaries;
+* general rates: 16 bytes (float infected and susceptible indicators),
+  and from ``gillespie.BLOCKED_FROM`` urns 8 (r + 1) more for the rate
+  terms of a rank-r kernel (twice that while they are built);
+* clock tables: 8 bytes of path cost per replica-urn-urn cell, and 8 more
+  in each relaxation round.
+
+The initial states of a batch are drawn in chunks of
+``model._DRAW_CELLS`` cells.  The snapshots of all replicas take one byte
+per cell and snapshot time.  Reductions happen afterwards in replica order.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ __all__ = ["ScalarField", "TestFunction", "Kernel", "sites"]
 
 _FIELD_FORMS = ("constant", "affine", "table")
 _KERNEL_FORMS = ("constant", "separable", "table")
+_SUM_ROWS = 64  # rows of values per block of the node-sum products
 
 
 def sites(n: int) -> np.ndarray:
@@ -267,10 +268,18 @@ def _node_sum(left: np.ndarray, right: np.ndarray, values: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """:meth:`Kernel.node_average` from the kernel's factors on the grid of
     ``values``, for callers that look the factors up once; written into
-    ``out`` when given."""
+    ``out`` when given.  A (rows, M) table of values forms its (rows, r, M)
+    products _SUM_ROWS rows at a time, which bounds that temporary."""
     # sum along the last axis, as values.mean(-1) does: constant and
-    # separable kernels then give the closed-form sums bit for bit
-    sums = np.add.reduce(right.T * values[..., None, :], -1)
+    # separable kernels then give the closed-form sums bit for bit; each
+    # row is summed on its own, so blocks of rows give the same sums
+    if values.ndim != 2:
+        sums = np.add.reduce(right.T * values[..., None, :], -1)
+    else:
+        sums = np.empty((len(values), right.shape[1]))
+        for k in range(0, len(values), _SUM_ROWS):
+            np.add.reduce(right.T * values[k:k + _SUM_ROWS, None, :], -1,
+                          out=sums[k:k + _SUM_ROWS])
     return np.dot(sums / values.shape[-1], left.T, out)
 
 

@@ -67,7 +67,7 @@ from .csvout import write_time_rows
 from .fields import TestFunction, sites
 from .hydro import GridSpec, solve_density
 from .model import ModelSpec
-from .rk4 import rk4, time_index, time_steps
+from .rk4 import rk4, stored_steps, time_index, time_steps
 
 __all__ = [
     "PanelSeries",
@@ -198,11 +198,30 @@ class CovarianceTrajectory:
         top = float(max(covs.max(), -covs.min())) if covs.size else 1.0
         scale = max(1.0, top)
         floor = min(PSD_FLOOR, -self.dt**4) * scale
+        # C + (|floor| / 2) I has a Cholesky factor only if the least
+        # eigenvalue of C exceeds floor / 2, up to rounding far below
+        # |floor| / 2; eigvalsh decides where the factorization fails, so
+        # the same matrices pass as with eigvalsh alone
+        shifted = np.empty(covs.shape[1:])
+        diag = shifted.reshape(-1)[::len(shifted) + 1]
         for k in range(times.size):
             c = covs[k]
-            asym = float(np.max(np.abs(c - c.T))) / scale
-            if asym > SYMMETRY_TOL:
-                raise ValueError(f"covariance at t={times[k]} not symmetric")
+            # a solve gives C symmetric bit for bit: a cheaper test, and
+            # then C is its own symmetric part
+            if np.array_equal(c, c.T):
+                np.copyto(shifted, c)
+            else:
+                asym = float(np.max(np.abs(c - c.T))) / scale
+                if asym > SYMMETRY_TOL:
+                    raise ValueError(
+                        f"covariance at t={times[k]} not symmetric")
+                np.divide(np.add(c, c.T, out=shifted), 2.0, out=shifted)
+            diag -= floor / 2.0
+            try:
+                np.linalg.cholesky(shifted)
+                continue
+            except np.linalg.LinAlgError:
+                pass
             low = float(np.linalg.eigvalsh((c + c.T) / 2.0)[0])
             if low < floor:
                 raise ValueError(
@@ -231,12 +250,9 @@ def evolve_covariance(
     n = series.n_steps
     if store_every is None:
         store_every = max(1, n // 200) if n else 1
-    if store_every < 1:
-        raise ValueError("store_every must be a positive integer")
     h = series.dt
-    times = [0.0]
-    # time 0, every store_every-th step and the last step
-    stored = np.empty((1 + -(-n // store_every), 2 * m, 2 * m))
+    keep = stored_steps(n, store_every)
+    stored = np.empty((keep.size, 2 * m, 2 * m))
     stored[0] = c
 
     dim = 2 * m
@@ -256,12 +272,13 @@ def evolve_covariance(
             flat[m::dim + 1][:m] -= cross
             flat[m * dim::dim + 1] -= cross
 
+    done = 1
     for k, c in enumerate(rk4(rhs, c, h, 0, n), 1):
-        if k % store_every == 0 or k == n:
-            stored[len(times)] = c
-            times.append(k * h)
+        if k == keep[done]:
+            stored[done] = c
+            done += 1
     return CovarianceTrajectory(
-        times=np.asarray(times), covariances=stored, m=m, dt=h
+        times=keep * h, covariances=stored, m=m, dt=h
     )
 
 

@@ -288,13 +288,16 @@ class _Engine:
 
     def _states_uniform(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), N) int8 states of the given rows (0-based)."""
-        perm = self._perm[rows]
-        place = np.empty_like(perm)
-        np.put_along_axis(place, perm, np.arange(self.spec.N), axis=1)
+        # each place of a row's runs gets its run's code, int8 throughout,
+        # and the urn at that place takes it
         n_sus, n_inf = self._counts[rows].T[:, :, None]
-        return np.where(place < n_sus, SUSCEPTIBLE,
-                        np.where(place < n_sus + n_inf, INFECTED,
-                                 REMOVED)).astype(np.int8)
+        place = np.arange(self.spec.N)
+        codes = np.where(place < n_sus, np.int8(SUSCEPTIBLE),
+                         np.where(place < n_sus + n_inf, np.int8(INFECTED),
+                                  np.int8(REMOVED)))
+        out = np.empty_like(codes)
+        np.put_along_axis(out, self._perm[rows], codes, axis=1)
+        return out
 
     def _propose_uniform(self, exp, uni):
         n_sus, n_inf = self._counts[self._view].T

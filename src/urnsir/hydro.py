@@ -12,7 +12,11 @@ to mirror the empirical sums (1/N) sum_j exactly, so law-of-large-numbers
 comparisons share the discretization.
 
 No clipping is applied anywhere: bound violations beyond tolerance raise
-:class:`DensityBoundsError` instead of being silently projected.
+:class:`DensityBoundsError` instead of being silently projected.  Every
+RK4 step is checked, whether or not it is stored: :func:`solve_density`
+stores every step, while the law-of-large-numbers ladder of
+:func:`urnsir.reports.lln_report` stores only times 0 and t, so its memory
+is that of one block of _BLOCK_ROWS steps, not of the whole history.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from .csvout import write_time_rows
 from .fields import TestFunction, _node_sum, sites
 from .model import ModelSpec
-from .rk4 import rk4, time_index, time_steps
+from .rk4 import rk4, stored_steps, time_index, time_steps
 
 __all__ = [
     "GridSpec",
@@ -37,7 +41,7 @@ __all__ = [
 ]
 
 BOUNDS_TOL = 1e-8
-_BLOCK_ROWS = 64  # stored states per block of the bounds check
+_BLOCK_ROWS = 64  # steps per block of the bounds check
 
 
 class DensityBoundsError(ValueError):
@@ -132,27 +136,77 @@ def _density_rhs(spec: ModelSpec, ms: tuple):
     return f
 
 
-def _solve_grids(spec: ModelSpec, ms: tuple, dt: float,
-                 T: float) -> list[DensityField]:
+def _solve_grids(spec: ModelSpec, ms: tuple, dt: float, T: float,
+                 store_every: int = 1) -> list[DensityField]:
     """:func:`solve_density` on the grids M = ms[0], ms[1], ... in one solve.
 
     The grids share the time grid of (T, dt) and step as one state, with
     their nodes side by side; each field equals its own solve bit for bit,
-    and each is checked for bounds on its own.
+    and each is checked for bounds on its own.  The fields hold the steps
+    of :func:`stored_steps` (step 0, every ``store_every``-th step and the
+    last step); the bounds check sees every step all the same, as the
+    states stream past in blocks of _BLOCK_ROWS steps, so memory is the
+    stored steps and one block.
     """
     n, h = time_steps(T, dt)
-    rho1 = np.empty((n + 1, sum(ms)))
-    rho0 = np.empty((n + 1, sum(ms)))
-    rho1[0] = np.concatenate([spec.phi.at_sites(m) for m in ms])
-    rho0[0] = 1.0 - rho1[0]
-    steps = rk4(_density_rhs(spec, ms), np.array([rho1[0], rho0[0]]), h, 0, n)
-    for k, y in enumerate(steps, 1):
-        rho1[k], rho0[k] = y
+    keep = stored_steps(n, store_every)
+    cuts = _cuts(ms)
+    starts = [cut.start for cut in cuts]
+    rho1 = np.empty((keep.size, sum(ms)))
+    rho0 = np.empty((keep.size, sum(ms)))
+    # row 0 of a block repeats the last state of the block before, so the
+    # monotonicity check sees every step
+    block = np.empty((_BLOCK_ROWS + 1, 2, sum(ms)))
+    block[0, 0] = np.concatenate([spec.phi.at_sites(m) for m in ms])
+    block[0, 1] = 1.0 - block[0, 0]
+    rho1[0], rho0[0] = block[0]
+    # per grid: the least rho1 and rho0, the largest rho1 + rho0, and
+    # whether rho0 rose by more than the tolerance in some step
+    low = np.full((2, len(ms)), np.inf)
+    high = np.full(len(ms), -np.inf)
+    rising = np.zeros(len(ms), dtype=bool)
 
-    times = np.arange(n + 1) * h
+    def see(rows: np.ndarray) -> None:
+        least = np.minimum.reduceat(rows.min(axis=0), starts, axis=1)
+        np.minimum(low, least, out=low)
+        most = np.maximum.reduceat((rows[:, 0] + rows[:, 1]).max(axis=0),
+                                   starts)
+        np.maximum(high, most, out=high)
+        rose = (np.diff(rows[:, 1], axis=0) > BOUNDS_TOL).any(axis=0)
+        np.logical_or(rising, np.logical_or.reduceat(rose, starts),
+                      out=rising)
+
+    if n == 0:
+        see(block[:1])
+    filled, done = 1, 1  # rows of the block in use; steps stored so far
+    # rk4 reads block[0] only for step 1, before the block is reused
+    for k, y in enumerate(rk4(_density_rhs(spec, ms), block[0], h, 0, n), 1):
+        block[filled] = y
+        filled += 1
+        if filled < len(block) and k < n:
+            continue
+        # the block holds steps k - filled + 1 .. k
+        see(block[:filled])
+        upto = int(np.searchsorted(keep, k, side="right"))
+        rows = keep[done:upto] - (k - filled + 1)
+        # mode "clip" copies without a buffer; the rows are in range
+        np.take(block[:, 0], rows, axis=0, out=rho1[done:upto], mode="clip")
+        np.take(block[:, 1], rows, axis=0, out=rho0[done:upto], mode="clip")
+        block[0] = block[filled - 1]
+        filled, done = 1, upto
+
+    times = keep * h
     fields = []
-    for cut in _cuts(ms):
-        _check_bounds(rho1[:, cut], rho0[:, cut])
+    for g, cut in enumerate(cuts):
+        least = min(low[0, g], low[1, g])
+        if least < -BOUNDS_TOL or high[g] > 1.0 + BOUNDS_TOL:
+            raise DensityBoundsError(
+                f"density bounds violated: min={least:.3e}, "
+                f"max sum={high[g]:.6f}"
+            )
+        if rising[g]:
+            raise DensityBoundsError(
+                "susceptible density must be nonincreasing")
         fields.append(DensityField(times, rho1[:, cut], rho0[:, cut]))
     return fields
 
@@ -163,27 +217,11 @@ def _cuts(ms: tuple) -> list[slice]:
     return [slice(b - m, b) for m, b in zip(ms, ends)]
 
 
-def _check_bounds(rho1: np.ndarray, rho0: np.ndarray) -> None:
-    """Raise :class:`DensityBoundsError` unless the stored states keep their
-    bounds; blocks of rows keep the temporaries small."""
-    rows = range(0, len(rho1), _BLOCK_ROWS)
-    low = min(rho1.min(), rho0.min())
-    high = np.max([(rho1[k:k + _BLOCK_ROWS] + rho0[k:k + _BLOCK_ROWS]).max()
-                   for k in rows])
-    if low < -BOUNDS_TOL or high > 1.0 + BOUNDS_TOL:
-        raise DensityBoundsError(
-            f"density bounds violated: min={low:.3e}, max sum={high:.6f}"
-        )
-    if any((np.diff(rho0[k:k + _BLOCK_ROWS + 1], axis=0) > BOUNDS_TOL).any()
-           for k in rows):
-        raise DensityBoundsError("susceptible density must be nonincreasing")
-
-
 def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
     """Integrate the density system; returns every time step.
 
-    Raises :class:`DensityBoundsError` if any stored state leaves
-    [0 - tol, ...] or rho1 + rho0 exceeds 1 + tol.
+    Raises :class:`DensityBoundsError` if any state leaves [0 - tol, ...],
+    rho1 + rho0 exceeds 1 + tol, or rho0 rises by more than tol in a step.
     """
     return _solve_grids(spec, (grid.M,), grid.dt, grid.T)[0]
 

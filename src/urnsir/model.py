@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 REMOVED, SUSCEPTIBLE, INFECTED = -1, 0, 1
+_DRAW_CELLS = 1 << 15  # replica-urn cells per draw of initial_states
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,18 @@ def sample_initial(spec: ModelSpec, seed: int,
 
 
 def initial_states(spec: ModelSpec, seed: int, replicas) -> np.ndarray:
-    """(len(replicas), N) int8 initial states of many replicas in one draw.
+    """(len(replicas), N) int8 initial states of many replicas.
 
-    Row q equals ``sample_initial(spec, seed, replicas[q]).states``.
+    Row q equals ``sample_initial(spec, seed, replicas[q]).states``.  The
+    words are drawn for about _DRAW_CELLS cells at a time, so the 8-byte
+    words and uniforms exist for one chunk of rows, not for the batch.
     """
-    u = uniforms(replica_words(seed, replicas, spec.N, DOMAIN_INITIAL, 1))
-    return (u < spec.phi_at_sites()).astype(np.int8)
+    replicas = np.asarray(replicas).reshape(-1)
+    phi = spec.phi_at_sites()
+    out = np.empty((replicas.size, spec.N), dtype=np.int8)
+    step = max(1, _DRAW_CELLS // spec.N)
+    for lo in range(0, replicas.size, step):
+        words = replica_words(seed, replicas[lo:lo + step], spec.N,
+                              DOMAIN_INITIAL, 1)
+        np.less(uniforms(words), phi, out=out[lo:lo + step])
+    return out

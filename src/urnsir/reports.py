@@ -48,6 +48,7 @@ from .oracle import (
     moment_report,
     transient_distribution,
 )
+from .rk4 import time_steps
 from .streams import DOMAIN_SAMPLING, derive_rng
 
 __all__ = [
@@ -137,9 +138,11 @@ def lln_report(
     lines: list[str] = []
     rms = []
     specs = [model.with_n(int(n)) for n in ns]
-    # every rung's density in one solve, each on its own node grid M = N
-    targets = [density.node_integral(t, f) for density in
-               _solve_grids(model, tuple(s.N for s in specs), dt, t)]
+    # every rung's density in one solve, each on its own node grid M = N,
+    # keeping only times 0 and t
+    ladder = _solve_grids(model, tuple(s.N for s in specs), dt, t,
+                          store_every=time_steps(t, dt)[0])
+    targets = [density.node_integral(t, f) for density in ladder]
     for n, spec_n, target in zip(ns, specs, targets):
         ens = EnsembleSpec(
             model=spec_n, replicas=replicas, master_seed=master_seed,

@@ -54,6 +54,14 @@ def time_steps(T: float, dt: float) -> tuple[int, float]:
     return n, T / n
 
 
+def stored_steps(n: int, every: int) -> np.ndarray:
+    """Steps of n that a solve stored every ``every`` steps keeps: step 0,
+    every ``every``-th step and the last step n."""
+    if not isinstance(every, (int, np.integer)) or every < 1:
+        raise ValueError("store_every must be a positive integer")
+    return np.union1d(np.arange(0, n + 1, every), n)
+
+
 def time_index(times, t: float) -> int:
     """Index of the stored time within 1e-9 (relative, above 1) of t."""
     gaps = np.abs(np.asarray(times, dtype=float) - t)

@@ -316,6 +316,96 @@ class TestCovariance:
                 evolve_covariance(series, c0=c0)
 
 
+EIGVALSH = np.linalg.eigvalsh
+
+
+def eigvalsh_check(times, covs, dt=0.0):
+    """The error of the symmetry and PSD check by eigvalsh alone, or None."""
+    covs = np.asarray(covs, dtype=float)
+    scale = max(1.0, float(max(covs.max(), -covs.min())))
+    floor = min(-1e-8, -dt**4) * scale
+    for t, c in zip(times, covs):
+        if float(np.max(np.abs(c - c.T))) / scale > 1e-10:
+            return f"covariance at t={t} not symmetric"
+        low = float(EIGVALSH((c + c.T) / 2.0)[0])
+        if low < floor:
+            return f"covariance at t={t} has eigenvalue {low:.3e}"
+    return None
+
+
+def with_least_eigenvalue(low, asym=0.0):
+    """4 x 4 (M = 2) symmetric C with eigenvalues (low, 0.2, 0.5, 1): max |C|
+    is below 1, so the PSD floor is -1e-8; ``asym`` is added to C[0, 1]."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
+    c = (q * [low, 0.2, 0.5, 1.0]) @ q.T
+    c = (c + c.T) / 2.0
+    c[0, 1] += asym
+    return c
+
+
+class TestPsdCheck:
+    """The Cholesky fast path accepts and rejects what eigvalsh alone does."""
+
+    def test_above_half_the_floor_needs_no_eigenvalues(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for low in (-0.4e-8, 0.0, 1e-3):
+            CovarianceTrajectory(times=[0.0],
+                                 covariances=[with_least_eigenvalue(low)], m=2)
+
+    def test_between_floor_and_half_floor_is_accepted_by_eigvalsh(
+            self, monkeypatch):
+        # C + (|floor| / 2) I has no Cholesky factor, so eigvalsh decides
+        calls = []
+
+        def spy(c):
+            calls.append(c)
+            return EIGVALSH(c)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for low in (-0.75e-8, -0.99e-8):
+            CovarianceTrajectory(times=[0.0],
+                                 covariances=[with_least_eigenvalue(low)], m=2)
+        assert len(calls) == 2
+
+    def test_just_below_the_floor_is_rejected(self):
+        with pytest.raises(ValueError, match="has eigenvalue -1.010e-08"):
+            CovarianceTrajectory(
+                times=[0.0], covariances=[with_least_eigenvalue(-1.01e-8)],
+                m=2)
+
+    def test_verdicts_and_errors_are_those_of_eigvalsh(self):
+        lows = [-1e-6, -2e-8, -1.01e-8, -1.0000001e-8, -0.9999999e-8,
+                -0.99e-8, -0.75e-8, -0.5000001e-8, -0.4999999e-8, -0.4e-8,
+                0.0, 1e-3]
+        cases = [[with_least_eigenvalue(low)] for low in lows]
+        # asymmetric within and beyond the tolerance, and a scaled copy
+        cases += [[with_least_eigenvalue(-0.99e-8, asym=5e-11)],
+                  [with_least_eigenvalue(-1.01e-8, asym=5e-11)],
+                  [with_least_eigenvalue(0.1, asym=2e-10)],
+                  [50.0 * with_least_eigenvalue(-0.7e-8)],
+                  [with_least_eigenvalue(0.1), with_least_eigenvalue(-2e-8)]]
+        for covs in cases:
+            times = [0.5 * k for k in range(len(covs))]
+            for dt in (0.0, 0.02):
+                want = eigvalsh_check(times, covs, dt)
+                try:
+                    CovarianceTrajectory(times=times, covariances=covs, m=2,
+                                         dt=dt)
+                    got = None
+                except ValueError as err:
+                    got = str(err)
+                assert got == want
+
+    def test_solved_trajectories_are_exactly_symmetric(self):
+        # the fast path of the symmetry test: X + X^T from a symmetric C(0)
+        traj = evolve_covariance(PanelSeries(hetero_spec(), 8, 1e-2, 1.0))
+        for c in traj.covariances:
+            assert np.array_equal(c, c.T)
+
+
 class TestOutputs:
     def test_covariance_csv_schema(self, tmp_path):
         series = PanelSeries(hetero_spec(), 3, 0.25, 0.5)

@@ -301,3 +301,44 @@ def test_grids_solved_together_equal_their_own_solves(ms):
         alone = solve_density(spec, GridSpec(M=m, dt=0.02, T=1.0))
         assert np.array_equal(field.times, alone.times)
         assert np.array_equal(field.rho1, alone.rho1)
+
+
+@pytest.mark.parametrize("store_every", [1, 3, 7, 50, 64, 65, 1000])
+def test_stored_steps_are_those_of_the_full_solve(store_every):
+    # lln_report keeps only times 0 and t (store_every = all steps); any
+    # stride keeps step 0, every store_every-th step and the last step,
+    # each the full solve's state bit for bit
+    spec = ModelSpec(
+        lam=Kernel.table([[0.5, 1.0, 1.5], [1.2, 2.0, 2.4], [1.4, 2.6, 3.0]]),
+        psi=ScalarField.affine(0.5, 1.0),
+        phi=ScalarField.affine(0.1, 0.4),
+        N=10,
+        T=1.0,
+    )
+    ms = (50, 200, 800)
+    full = _solve_grids(spec, ms, 1e-3, 1.0)
+    kept = _solve_grids(spec, ms, 1e-3, 1.0, store_every=store_every)
+    steps = sorted(set(range(0, 1001, store_every)) | {1000})
+    for whole, part in zip(full, kept):
+        assert np.array_equal(part.times, whole.times[steps])
+        assert np.array_equal(part.rho1, whole.rho1[steps])
+        assert np.array_equal(part.rho0, whole.rho0[steps])
+        assert part.node_integral(1.0, ScalarField.constant(1.0)) == (
+            whole.node_integral(1.0, ScalarField.constant(1.0)))
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="store_every"):
+            _solve_grids(spec, ms, 1e-3, 1.0, store_every=bad)
+
+
+def test_bounds_are_checked_on_steps_that_are_not_stored():
+    # at this coarse step rho0 runs 0.5, 0.203, 0.317, 0.244: it rises at
+    # step 2, while the two stored steps 0 and 3 are in order
+    spec = ModelSpec(
+        lam=Kernel.constant(10.0),
+        psi=ScalarField.constant(0.1),
+        phi=ScalarField.constant(0.5),
+        N=4,
+        T=1.0,
+    )
+    with pytest.raises(DensityBoundsError, match="nonincreasing"):
+        _solve_grids(spec, (4,), 0.3, 1.0, store_every=3)
