@@ -16,12 +16,11 @@ from urnsir import (
     ModelSpec,
     ScalarField,
     classic_clt_covariance,
-    classic_sir_solve,
     solve_density,
 )
 
 lam0, phi0 = 2.5, 0.1
-state = classic_sir_solve(lam0=lam0, phi0=phi0, T=6.0, dt=1e-3)
+state = classic_clt_covariance(lam0=lam0, phi0=phi0, T=6.0, dt=1e-3)
 
 print(f"lam0 = {lam0}, initial infected fraction {phi0}\n")
 print("  time  infected  susceptible  removed")
@@ -43,10 +42,10 @@ gap = max(abs(dens.total_infected(t) - state.infected[int(round(t / 1e-3))])
 print(f"general solver vs reduction, worst gap: {gap:.1e}")
 
 # Fluctuations around the curve: the 2x2 covariance of the scaled
-# infected/susceptible deviations, from the matched Lyapunov equation.
-cov = classic_clt_covariance(lam0=lam0, phi0=phi0, T=6.0, dt=1e-3)
+# infected/susceptible deviations, from the matched Lyapunov equation
+# solved alongside them.
 print("\n  time  Var(eta)  Cov(eta,beta)  Var(beta)")
 for t in (0.5, 1.0, 2.0, 4.0):
-    c = cov.covariance[int(round(t / 1e-3))]
+    c = state.covariance[int(round(t / 1e-3))]
     print(f"  {t:4.1f}  {c[0, 0]:8.5f}    {c[0, 1]:8.5f}   {c[1, 1]:8.5f}")
 print("\n(eta = scaled infected deviation, beta = susceptible)")

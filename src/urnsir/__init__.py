@@ -25,20 +25,19 @@ _EXPORTS = {
                     "adjoint_pair_covariance", "evolve_covariance",
                     "initial_covariance", "pair_covariance", "propagate"),
     "gillespie": ("INFECTION", "RECOVERY", "Simulation", "Trajectory",
-                  "lockstep_states", "replay", "simulate", "snapshot_states",
+                  "lockstep_states", "simulate", "snapshot_states",
                   "write_events_ndjson", "write_snapshots_csv"),
     "graphical": ("ClockTable", "CoupledQuadruple", "clock_states",
                   "coupled_quadruple", "state_from_clocks"),
-    "homogeneous": ("HomogeneousState", "classic_clt_covariance",
-                    "classic_sir_solve"),
+    "homogeneous": ("HomogeneousState", "classic_clt_covariance"),
     "hydro": ("DensityBoundsError", "DensityField", "GridSpec",
-              "density_residual", "solve_density", "write_density_csv"),
+              "solve_density", "write_density_csv"),
     "model": ("INFECTED", "REMOVED", "SUSCEPTIBLE", "Configuration",
               "ModelSpec", "initial_states", "sample_initial"),
     "oracle": ("CapacityError", "GeneratorMatrix", "MomentRecord",
                "build_generator", "enumerate_states", "index_state",
-               "initial_distribution", "moment_report", "occupation_marginals",
-               "state_index", "transient_distribution"),
+               "initial_distribution", "moment_report", "state_index",
+               "transient_distribution"),
     "reports": ("Report", "ReportRecord", "clt_report", "construction_report",
                 "covariance_anchor_report", "covariance_decay_report",
                 "dynkin_report", "lln_report", "oracle_report",

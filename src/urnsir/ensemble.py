@@ -109,28 +109,17 @@ class EnsembleResult:
     def theta(self, f: TestFunction, k: int) -> np.ndarray:
         return self._pair(SUSCEPTIBLE, k, f)
 
-    def _centered(self, which: int, k: int, f: TestFunction,
-                  mean: np.ndarray | None) -> np.ndarray:
+    def _centered(self, which: int, k: int, f: TestFunction) -> np.ndarray:
         n = self.spec.model.N
-        fv = f.at_sites(n)
         ind = self.indicator(which, k)
-        center = ind.mean(axis=0) if mean is None else np.asarray(mean, float)
-        if center.shape != (n,):
-            raise ValueError("mean vector must have one entry per urn")
-        return (ind - center) @ fv / np.sqrt(n)
+        return (ind - ind.mean(axis=0)) @ f.at_sites(n) / np.sqrt(n)
 
-    def eta(self, f: TestFunction, k: int,
-            mean: np.ndarray | None = None) -> np.ndarray:
-        """sqrt(N)-scaled infected field centered at ensemble means.
+    def eta(self, f: TestFunction, k: int) -> np.ndarray:
+        """sqrt(N)-scaled infected field centered at ensemble means."""
+        return self._centered(INFECTED, k, f)
 
-        Passing ``mean`` (per-urn infected probabilities) replaces the
-        ensemble centering, e.g. with exact small-N values.
-        """
-        return self._centered(INFECTED, k, f, mean)
-
-    def beta(self, f: TestFunction, k: int,
-             mean: np.ndarray | None = None) -> np.ndarray:
-        return self._centered(SUSCEPTIBLE, k, f, mean)
+    def beta(self, f: TestFunction, k: int) -> np.ndarray:
+        return self._centered(SUSCEPTIBLE, k, f)
 
     def state_codes(self, k: int) -> np.ndarray:
         """(replicas,) base-3 codes of the joint state; small N only."""

@@ -36,12 +36,11 @@ matrix is formed.  Covariances evolve by the Lyapunov equation
 dC/dt = S C + C S^T + Q from C(0) = [[D, -D], [-D, D]],
 D = M diag(phi (1 - phi)), with pairings
 Cov(eta(f), beta(g)) = (1/M^2) f^T C_eb g.  For symmetric C the right-hand
-side is X + X^T + Q with X = S C, exactly symmetric, so each step relies on
-a symmetric C(0) (an asymmetric one is rejected with the stored
-trajectory); Q adds only to the diagonals of the four M x M blocks.  The
-integrator is :func:`urnsir.rk4.rk4`; the density is solved on a half-step
-grid so the midpoint-stage drift exists without interpolation and the
-scheme keeps its order.
+side is X + X^T + Q with X = S C, exactly symmetric as C(0) is; Q adds
+only to the diagonals of the four M x M blocks.  The integrator is
+:func:`urnsir.rk4.rk4`; the density is solved on a half-step grid so the
+midpoint-stage drift exists without interpolation and the scheme keeps its
+order.
 
 A pairing needs only the adjoint flow (duality).  For weight vectors a, b
 and the flow Phi(t, s) of S, y(s) = Phi(t, s)^T a solves
@@ -233,20 +232,12 @@ class CovarianceTrajectory:
 
 
 def evolve_covariance(
-    series: PanelSeries,
-    c0: np.ndarray | None = None,
-    store_every: int | None = None,
-    include_noise: bool = True,
+    series: PanelSeries, store_every: int | None = None
 ) -> CovarianceTrajectory:
-    """Integrate the Lyapunov equation along the panel series.
-
-    ``include_noise=False`` drops Q, leaving the pure flow conjugation
-    C(t) = Flow C(0) Flow^T for cross-checking against :func:`propagate`.
-    """
+    """Integrate the Lyapunov equation along the panel series from
+    C(0) = :func:`initial_covariance`."""
     m = series.m
-    c = initial_covariance(series.spec, m) if c0 is None else c0.copy()
-    if c.shape != (2 * m, 2 * m):
-        raise ValueError("c0 must be a 2M x 2M matrix")
+    c = initial_covariance(series.spec, m)
     n = series.n_steps
     if store_every is None:
         store_every = max(1, n // 200) if n else 1
@@ -261,16 +252,15 @@ def evolve_covariance(
     def rhs(mat: np.ndarray, j: int, out: np.ndarray) -> None:
         series.drift(j, mat, x)
         np.add(x, x.T, out=out)
-        if include_noise:
-            # the diagonals of the four M x M blocks, as strided views of
-            # the flat (C-ordered) matrix
-            flat = out.reshape(-1)
-            diag = flat[::dim + 1]
-            cross = m * series.alpha2[j]
-            diag[:m] += m * (series.b2[j] + series.alpha2[j])
-            diag[m:] += cross
-            flat[m::dim + 1][:m] -= cross
-            flat[m * dim::dim + 1] -= cross
+        # the diagonals of the four M x M blocks, as strided views of the
+        # flat (C-ordered) matrix
+        flat = out.reshape(-1)
+        diag = flat[::dim + 1]
+        cross = m * series.alpha2[j]
+        diag[:m] += m * (series.b2[j] + series.alpha2[j])
+        diag[m:] += cross
+        flat[m::dim + 1][:m] -= cross
+        flat[m * dim::dim + 1] -= cross
 
     done = 1
     for k, c in enumerate(rk4(rhs, c, h, 0, n), 1):

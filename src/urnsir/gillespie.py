@@ -76,7 +76,6 @@ __all__ = [
     "simulate",
     "snapshot_states",
     "lockstep_states",
-    "replay",
     "write_events_ndjson",
     "write_snapshots_csv",
 ]
@@ -192,6 +191,9 @@ class _Engine:
         self.steps = 0
         self._rng = None
         if one:
+            # numpy scalars, not (1,) rows: fancy indexing with (1,) arrays
+            # costs more than scalar indexing (a table model at N = 400
+            # went from 32 to 51-98 us per event)
             self._view = self._ix = 0
             self._rng = derive_rng(seed, DOMAIN_SIMULATION,
                                    replica=int(self.replicas[0]))
@@ -563,22 +565,6 @@ def lockstep_states(spec: ModelSpec, seed: int, replicas,
     replicas = np.asarray(replicas, dtype=np.int64).reshape(-1)
     states = initial_states(spec, seed, replicas)
     return _run(_Engine(spec, seed, replicas, states), times)
-
-
-def replay(trajectory: Trajectory, times) -> np.ndarray:
-    """States (len(times), N) at the sorted times, replaying event by event."""
-    times = sorted(float(t) for t in times)
-    states = trajectory.initial.states.copy()
-    out = np.empty((len(times), states.size), dtype=np.int8)
-    events = iter(trajectory.events.tolist())
-    ev = next(events, None)
-    for k, t in enumerate(times):
-        while ev is not None and ev[0] <= t:
-            _, kind, urn, _ = ev
-            states[urn - 1] = REMOVED if kind == RECOVERY else INFECTED
-            ev = next(events, None)
-        out[k] = states
-    return out
 
 
 def write_events_ndjson(trajectory: Trajectory, path) -> None:

@@ -152,46 +152,6 @@ class ClockTable:
             self._rows[key] = row
         return row
 
-    @classmethod
-    def from_values(
-        cls,
-        spec: ModelSpec,
-        recovery: np.ndarray | None = None,
-        pair_clocks: np.ndarray | None = None,
-        initial: np.ndarray | None = None,
-        seed: int = 0,
-        bank: int = 1,
-    ) -> "ClockTable":
-        """Seeded table with explicit overrides for one bank (for traces).
-
-        ``pair_clocks`` is an (N, N) matrix with [i-1, j-1] = U_(i, j); its
-        diagonal is forced to infinity.
-        """
-        table = cls(spec=spec, seed=seed)
-        n = spec.N
-        if recovery is not None:
-            arr = np.asarray(recovery, dtype=float).copy()
-            if arr.shape != (n,):
-                raise ValueError("recovery clocks must have one entry per urn")
-            arr.setflags(write=False)
-            table._recovery[bank] = arr
-        if pair_clocks is not None:
-            mat = np.asarray(pair_clocks, dtype=float).copy()
-            if mat.shape != (n, n):
-                raise ValueError("pair clocks must be an N x N matrix")
-            np.fill_diagonal(mat, np.inf)
-            for idx in range(n):
-                row = mat[idx].copy()
-                row.setflags(write=False)
-                table._rows[(bank, idx)] = row
-        if initial is not None:
-            arr = np.asarray(initial, dtype=np.int8).copy()
-            if arr.shape != (n,) or arr.min() < 0 or arr.max() > 1:
-                raise ValueError("initial states must be a 0/1 vector")
-            arr.setflags(write=False)
-            table._initial[bank] = arr
-        return table
-
 
 def _reach(row_fn, n: int, root: int, horizon: float, blocked) -> dict:
     """Minimal clock sums of paths from ``root``, capped at ``horizon``.

@@ -14,10 +14,11 @@ covariance solves dSigma/dt = A Sigma + Sigma A^T + B with
     B = [[i + lam0*i*s, -lam0*i*s], [-lam0*i*s, lam0*i*s]],
     Sigma(0) = phi0*(1-phi0) * [[1, -1], [-1, 1]].
 
-Both solvers step with :func:`urnsir.rk4.rk4`, the one fixed-step
-fourth-order Runge-Kutta integrator of the density and fluctuation solvers,
-on the same :func:`urnsir.rk4.time_steps` grid, so constant-input
-cross-checks isolate modeling differences, not integrator differences.
+:func:`classic_clt_covariance` steps both with :func:`urnsir.rk4.rk4`, the
+one fixed-step fourth-order Runge-Kutta integrator of the density and
+fluctuation solvers, on the same :func:`urnsir.rk4.time_steps` grid, so
+constant-input cross-checks isolate modeling differences, not integrator
+differences.
 """
 
 from __future__ import annotations
@@ -28,55 +29,20 @@ import numpy as np
 
 from .rk4 import rk4, time_index, time_steps
 
-__all__ = ["HomogeneousState", "classic_sir_solve", "classic_clt_covariance"]
+__all__ = ["HomogeneousState", "classic_clt_covariance"]
 
 
 @dataclass(frozen=True)
 class HomogeneousState:
-    """Trajectory of the homogeneous fractions and (optionally) covariance."""
+    """Trajectory of the homogeneous fractions and their covariance."""
 
     times: np.ndarray
     infected: np.ndarray
     susceptible: np.ndarray
-    covariance: np.ndarray | None = None  # (n_times, 2, 2) when present
+    covariance: np.ndarray  # (n_times, 2, 2)
 
     def at(self, t: float) -> int:
         return time_index(self.times, t)
-
-
-def _check(lam0: float, phi0: float) -> None:
-    if not 0.0 <= phi0 <= 1.0:
-        raise ValueError("phi0 must lie in [0, 1]")
-    if lam0 < 0.0:
-        raise ValueError("lam0 must be nonnegative")
-
-
-def _fraction_rhs(lam0: float):
-    """Right-hand side f(y, j, out) of the fractions y = (i, s)."""
-
-    def f(y, j, out):
-        i, s = y
-        flux = lam0 * i * s
-        out[0] = -i + flux
-        out[1] = -flux
-
-    return f
-
-
-def classic_sir_solve(
-    lam0: float, phi0: float, T: float, dt: float
-) -> HomogeneousState:
-    """Homogeneous fractions (i_t, s_t) from i_0 = phi0, s_0 = 1 - phi0."""
-    _check(lam0, phi0)
-    n, h = time_steps(T, dt)
-    traj = np.empty((n + 1, 2))
-    traj[0] = phi0, 1.0 - phi0
-    for k, y in enumerate(rk4(_fraction_rhs(lam0), traj[0], h, 0, n), 1):
-        traj[k] = y
-    return HomogeneousState(
-        times=np.arange(n + 1) * h, infected=traj[:, 0],
-        susceptible=traj[:, 1],
-    )
 
 
 def classic_clt_covariance(
@@ -86,12 +52,14 @@ def classic_clt_covariance(
 
     The state stacks the fractions (i, s) over the two covariance rows.
     """
-    _check(lam0, phi0)
+    if not 0.0 <= phi0 <= 1.0:
+        raise ValueError("phi0 must lie in [0, 1]")
+    if lam0 < 0.0:
+        raise ValueError("lam0 must be nonnegative")
     n, h = time_steps(T, dt)
     q = phi0 * (1.0 - phi0)
     traj = np.empty((n + 1, 3, 2))
     traj[0] = [[phi0, 1.0 - phi0], [q, -q], [-q, q]]
-    fractions = _fraction_rhs(lam0)
 
     def f(y, j, out):
         (i, s), sigma = y[0], y[1:]
@@ -99,7 +67,7 @@ def classic_clt_covariance(
         a = np.array([[lam0 * s - 1.0, lam0 * i], [-lam0 * s, -lam0 * i]])
         b = np.array([[i + flux, -flux], [-flux, flux]])
         out[1:] = a @ sigma + sigma @ a.T + b
-        fractions(y[0], j, out[0])
+        out[0] = -i + flux, -flux
 
     for k, y in enumerate(rk4(f, traj[0], h, 0, n), 1):
         traj[k] = y

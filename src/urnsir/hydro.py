@@ -36,7 +36,6 @@ __all__ = [
     "DensityField",
     "DensityBoundsError",
     "solve_density",
-    "density_residual",
     "write_density_csv",
 ]
 
@@ -224,32 +223,6 @@ def solve_density(spec: ModelSpec, grid: GridSpec) -> DensityField:
     rho1 + rho0 exceeds 1 + tol, or rho0 rises by more than tol in a step.
     """
     return _solve_grids(spec, (grid.M,), grid.dt, grid.T)[0]
-
-
-def density_residual(field: DensityField, spec: ModelSpec) -> float:
-    """Max abs defect of the stored field against the density system.
-
-    Time derivatives are centered finite differences, so the residual of an
-    accurate solution scales like O(dt^2).  Needs at least three stored
-    times.
-    """
-    if field.times.size < 3:
-        raise ValueError("residual needs at least three stored times")
-    f = _density_rhs(spec, (field.m,))
-    deriv = np.empty((2, field.m))
-    worst = 0.0
-    for k in range(1, field.times.size - 1):
-        h2 = field.times[k + 1] - field.times[k - 1]
-        d1 = (field.rho1[k + 1] - field.rho1[k - 1]) / h2
-        d0 = (field.rho0[k + 1] - field.rho0[k - 1]) / h2
-        f((field.rho1[k], field.rho0[k]), None, deriv)
-        f1, f0 = deriv
-        worst = max(
-            worst,
-            float(np.max(np.abs(d1 - f1))),
-            float(np.max(np.abs(d0 - f0))),
-        )
-    return worst
 
 
 def write_density_csv(field: DensityField, path) -> None:

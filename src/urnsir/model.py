@@ -36,9 +36,8 @@ class ModelSpec:
 
     ``lam`` is the infection kernel, ``psi`` the recovery-rate profile,
     ``phi`` the initial infection profile.  Rates are validated nonnegative
-    (degenerate zero rates are admitted for closed-form fixtures; the
-    strictly positive regime of the limit theory can be asserted with
-    :meth:`require_positive_rates`), and ``phi`` must map into [0, 1].
+    (degenerate zero rates are admitted for closed-form fixtures), and
+    ``phi`` must map into [0, 1].
     """
 
     lam: Kernel
@@ -61,13 +60,6 @@ class ModelSpec:
             raise ValueError("psi must be nonnegative")
         if self.lam.min_value() < 0.0:
             raise ValueError("lambda must be nonnegative")
-
-    def require_positive_rates(self) -> None:
-        """Raise unless psi and lambda are strictly positive everywhere."""
-        if self.psi.min_value() <= 0.0:
-            raise ValueError("psi must be strictly positive for this use")
-        if self.lam.min_value() <= 0.0:
-            raise ValueError("lambda must be strictly positive for this use")
 
     def with_n(self, n: int) -> "ModelSpec":
         return replace(self, N=n)

@@ -24,7 +24,6 @@ both at their first generator build and transient.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -43,10 +42,8 @@ __all__ = [
     "build_generator",
     "initial_distribution",
     "transient_distribution",
-    "occupation_marginals",
     "MomentRecord",
     "moment_report",
-    "read_moment_fixture",
 ]
 
 MAX_URNS = 10
@@ -212,19 +209,6 @@ def transient_distribution(
     return out
 
 
-def occupation_marginals(
-    dist: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-urn (P susceptible, P infected, P removed) under ``dist``."""
-    digits = enumerate_states(n)
-    if dist.shape != (digits.shape[0],):
-        raise ValueError("distribution has the wrong length")
-    p_sus = dist @ (digits == 1)
-    p_inf = dist @ (digits == 2)
-    p_rem = dist @ (digits == 0)
-    return p_sus, p_inf, p_rem
-
-
 @dataclass(frozen=True)
 class MomentRecord:
     """One exact product moment E[prod H] and its centered companion.
@@ -280,8 +264,3 @@ def moment_report(
             )
         )
     return records
-
-
-def read_moment_fixture(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]

@@ -7,7 +7,8 @@ whose records regenerate bit-identically from (spec, master_seed).
 
 Statistical conventions used throughout:
   - fluctuation fields are centered at ensemble means (exact location for
-    the normality test); small-N reports may center at exact marginals;
+    the normality test), so reports with sample variances need at least
+    two replicas;
   - bands are 3 standard errors unless a check states otherwise;
   - p-values come from scipy.special, not the slow-to-import scipy.stats;
     each function imports what it uses at its call, so ``import urnsir``
@@ -227,6 +228,11 @@ def covariance_decay_report(
         raise ValueError("t outside [0, T]")
     if len(set(ns)) < 2:  # a trend needs two rungs
         raise ValueError("ns must hold at least two distinct N")
+    if replicas < 2:
+        raise ValueError("replicas must be at least 2")
+    # the spread of |Cov| over a rung needs two pairs: N >= 3 has three
+    if min(ns) < 3 or pairs_per_n < 2:
+        raise ValueError("each N in ns must be >= 3 and pairs_per_n >= 2")
     records: list[ReportRecord] = []
     lines: list[str] = []
     excess = []
@@ -285,6 +291,8 @@ def covariance_anchor_report(
     Every unordered pair's sampled Cov(I_t(i), I_t(j)) must sit within 3
     standard errors of the exact transient value.
     """
+    if replicas < 2:
+        raise ValueError("replicas must be at least 2")
     n = model.N
     gen = build_generator(model)
     dist = transient_distribution(gen, initial_distribution(model), t)
@@ -363,6 +371,8 @@ def clt_report(
         g = _ONE
     if not 0.0 < t <= model.T:
         raise ValueError("t must lie in (0, T]")
+    if replicas < 2:
+        raise ValueError("replicas must be at least 2")
     n = model.N
     theory = adjoint_pair_covariance(PanelSeries(model, m_grid, dt, t), f, g)
     var_eta_th, cov_th, var_beta_th = (
@@ -521,6 +531,8 @@ def dynkin_report(
         raise ValueError("t must lie in (0, T]")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if replicas < 2:
+        raise ValueError("replicas must be at least 2")
     spec_t = dc_replace(model, T=float(t))
     n = model.N
     fv = f.at_sites(n)

@@ -24,7 +24,6 @@ from urnsir.gillespie import (
     _run,
     block_size,
     lockstep_states,
-    replay,
     simulate,
     snapshot_states,
 )
@@ -41,6 +40,8 @@ from urnsir.streams import (
     exponentials,
     uniforms,
 )
+
+from replay import replay
 
 SEEDS = range(50)
 TIME_TOL = 1e-12

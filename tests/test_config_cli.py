@@ -521,6 +521,17 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert match in err
 
+    @pytest.mark.parametrize("kind", ["clt", "dynkin", "cov"])
+    def test_one_replica_rejected(self, tmp_path, capsys, kind):
+        # a sample variance needs two replicas: one error line, no CSV
+        cfg = write_ini(tmp_path / "run.ini", BASE)
+        out = tmp_path / "out"
+        assert main(["validate", kind, "--config", cfg, "--out", str(out),
+                     "--seed", "1", "--replicas", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: replicas must be at least 2\n"
+        assert not any(out.iterdir())
+
     def test_zero_replicas_rejected(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "run.ini", BASE)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path),

@@ -12,7 +12,6 @@ from urnsir.gillespie import (
     RECOVERY,
     Simulation,
     Trajectory,
-    replay,
     simulate,
     snapshot_states,
     write_events_ndjson,
@@ -33,6 +32,8 @@ from urnsir.oracle import (
     initial_distribution,
     transient_distribution,
 )
+
+from replay import replay
 
 
 def uniform_spec(n=30, lam=1.5, psi=1.0, phi=0.4, T=2.0):

@@ -25,13 +25,46 @@ def flat_spec(n, lam=1.5, psi=1.0, phi=0.3, T=1.0):
     )
 
 
+def from_values(spec, recovery=None, pair_clocks=None, initial=None,
+                seed=0, bank=1):
+    """Seeded table with explicit overrides for one bank (for traces).
+
+    ``pair_clocks`` is an (N, N) matrix with [i-1, j-1] = U_(i, j); its
+    diagonal is forced to infinity.
+    """
+    table = ClockTable(spec=spec, seed=seed)
+    n = spec.N
+    if recovery is not None:
+        arr = np.asarray(recovery, dtype=float).copy()
+        if arr.shape != (n,):
+            raise ValueError("recovery clocks must have one entry per urn")
+        arr.setflags(write=False)
+        table._recovery[bank] = arr
+    if pair_clocks is not None:
+        mat = np.asarray(pair_clocks, dtype=float).copy()
+        if mat.shape != (n, n):
+            raise ValueError("pair clocks must be an N x N matrix")
+        np.fill_diagonal(mat, INF)
+        for idx in range(n):
+            row = mat[idx].copy()
+            row.setflags(write=False)
+            table._rows[(bank, idx)] = row
+    if initial is not None:
+        arr = np.asarray(initial, dtype=np.int8).copy()
+        if arr.shape != (n,) or arr.min() < 0 or arr.max() > 1:
+            raise ValueError("initial states must be a 0/1 vector")
+        arr.setflags(write=False)
+        table._initial[bank] = arr
+    return table
+
+
 def chain_table(T=5.0):
     """Three urns: 1 <- 2 (0.4), 2 <- 3 (0.5), 1 <- 3 direct (2.0)."""
     spec = flat_spec(3, T=T)
     pair = np.array(
         [[INF, 0.4, 2.0], [5.0, INF, 0.5], [5.0, 5.0, INF]]
     )
-    return ClockTable.from_values(
+    return from_values(
         spec,
         recovery=np.array([0.9, 0.7, 10.0]),
         pair_clocks=pair,
@@ -93,11 +126,11 @@ class TestClockTable:
     def test_from_values_validation(self):
         spec = flat_spec(3)
         with pytest.raises(ValueError):
-            ClockTable.from_values(spec, recovery=np.zeros(2))
+            from_values(spec, recovery=np.zeros(2))
         with pytest.raises(ValueError):
-            ClockTable.from_values(spec, pair_clocks=np.zeros((2, 3)))
+            from_values(spec, pair_clocks=np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            ClockTable.from_values(spec, initial=np.array([0, 1, 2]))
+            from_values(spec, initial=np.array([0, 1, 2]))
 
     def test_clock_means(self):
         # Exp(psi(u)) recovery clocks and Exp(lam/N) pair clocks
@@ -144,7 +177,7 @@ class TestInfluenceSet:
 class TestStateFromClocks:
     def test_single_urn_recovery_threshold(self):
         spec = flat_spec(1, T=5.0)
-        tab = ClockTable.from_values(
+        tab = from_values(
             spec, recovery=np.array([0.3]), initial=np.array([1])
         )
         assert state_from_clocks(tab, [1], 1, 0.2) == 1
@@ -173,7 +206,7 @@ class TestStateFromClocks:
         # infection never crosses even though the sum fits the horizon
         spec = flat_spec(2, T=5.0)
         pair = np.array([[INF, 0.4], [5.0, INF]])
-        tab = ClockTable.from_values(
+        tab = from_values(
             spec,
             recovery=np.array([9.0, 0.3]),
             pair_clocks=pair,
@@ -209,7 +242,7 @@ class TestCoupling:
         # every pair clock beyond the horizon: omega holds and each coupled
         # state equals its uncoupled counterpart
         spec = flat_spec(4, T=1.0)
-        tab = ClockTable.from_values(
+        tab = from_values(
             spec,
             recovery=np.array([0.2, 5.0, 5.0, 0.9]),
             pair_clocks=np.full((4, 4), 5.0),
@@ -224,7 +257,7 @@ class TestCoupling:
 
     def test_tangled_clocks_fail_omega(self):
         spec = flat_spec(4, T=1.0)
-        tab = ClockTable.from_values(
+        tab = from_values(
             spec,
             recovery=np.full(4, 5.0),
             pair_clocks=np.full((4, 4), 0.1),

@@ -7,7 +7,6 @@ from urnsir.fields import Kernel, ScalarField
 from urnsir.model import (
     INFECTED,
     REMOVED,
-    SUSCEPTIBLE,
     Configuration,
     ModelSpec,
     sample_initial,
@@ -48,18 +47,6 @@ class TestModelSpec:
                 N=3,
                 T=1.0,
             )
-
-    def test_zero_rates_allowed_but_flagged(self):
-        spec = ModelSpec(
-            lam=Kernel.constant(0.0),
-            psi=ScalarField.constant(0.0),
-            phi=ScalarField.constant(0.5),
-            N=3,
-            T=1.0,
-        )
-        with pytest.raises(ValueError):
-            spec.require_positive_rates()
-        make_spec().require_positive_rates()
 
     def test_with_n(self):
         spec = make_spec(n=5)
@@ -170,32 +157,6 @@ class TestFields:
         mu_g, th_g = fields(states, g)
         assert mu_c == pytest.approx(2 * mu_f - 3 * mu_g)
         assert th_c == pytest.approx(2 * th_f - 3 * th_g)
-
-    def test_centered_at_truth_gives_zero(self):
-        states = np.array([1, 0, 1], dtype=np.int8)
-        res = one_config(states)
-        f = ScalarField.affine(1.0, 1.0)
-        mean_i = (states == INFECTED).astype(float)
-        mean_s = (states == SUSCEPTIBLE).astype(float)
-        assert res.eta(f, 0, mean=mean_i)[0] == 0.0
-        assert res.beta(f, 0, mean=mean_s)[0] == 0.0
-
-    def test_single_urn_hand_value(self):
-        eta = one_config([1]).eta(ScalarField.constant(1.0), 0,
-                                  mean=np.array([0.5]))
-        assert eta[0] == pytest.approx(0.5)
-
-    def test_balanced_beta_cancels(self):
-        beta = one_config([0, 0, 1, 1]).beta(ScalarField.constant(1.0), 0,
-                                             mean=np.full(4, 0.5))
-        assert beta[0] == pytest.approx(0.0)
-
-    def test_mean_length_mismatch(self):
-        res = one_config(np.zeros(3))
-        with pytest.raises(ValueError):
-            res.eta(ScalarField.constant(1.0), 0, mean=np.zeros(2))
-        with pytest.raises(ValueError):
-            res.beta(ScalarField.constant(1.0), 0, mean=np.zeros(2))
 
     @settings(max_examples=25)
     @given(st.integers(1, 30), st.integers(0, 10_000))

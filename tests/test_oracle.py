@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,6 @@ from urnsir.oracle import (
     index_state,
     initial_distribution,
     moment_report,
-    occupation_marginals,
-    read_moment_fixture,
     state_index,
     transient_distribution,
 )
@@ -204,7 +203,9 @@ class TestMoments:
         spec = make_spec(3, phi=0.4)
         gen = build_generator(spec)
         dist = transient_distribution(gen, initial_distribution(spec), 0.8)
-        p_sus, p_inf, _ = occupation_marginals(dist, 3)
+        # per-urn P(susceptible), P(infected): digit 1, digit 2
+        digits = enumerate_states(3)
+        p_sus, p_inf = dist @ (digits == 1), dist @ (digits == 2)
         recs = moment_report(dist, 3, [[(1, 1)], [(1, 0)], [(3, 1)]])
         assert recs[0].expectation == pytest.approx(p_inf[0], abs=1e-14)
         assert recs[1].expectation == pytest.approx(p_sus[0], abs=1e-14)
@@ -240,7 +241,8 @@ class TestFrozenFixture:
 
     def test_fixture_still_reproducible(self):
         spec = make_spec(4, lam=2.0, psi=1.0, phi=0.2, T=1.0)
-        rows = read_moment_fixture(DATA / "moments_n4.csv")
+        with open(DATA / "moments_n4.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert rows, "fixture must not be empty"
         assert rows[0]["spec_hash"] == spec_hash(spec)
 

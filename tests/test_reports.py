@@ -87,6 +87,14 @@ class TestCovarianceDecay:
         with pytest.raises(ValueError, match="ns must hold"):
             covariance_decay_report(flat(), SEED, ns=ns, t=0.5, replicas=5)
 
+    @pytest.mark.parametrize("ns,pairs", [((2, 4), 10), ((10, 20), 1)])
+    def test_rung_needs_two_pairs(self, ns, pairs):
+        # one pair per rung has no spread: the n_excess bound would be NaN
+        # and the trend verdict would pass on it
+        with pytest.raises(ValueError, match="pairs_per_n >= 2"):
+            covariance_decay_report(flat(), SEED, ns=ns, t=0.5, replicas=50,
+                                    pairs_per_n=pairs)
+
     def test_excess_stays_bounded(self):
         rep = covariance_decay_report(
             flat(), SEED, ns=(20, 40, 80), t=0.5, replicas=2000,
@@ -220,6 +228,17 @@ class TestOracleAndConstruction:
         assert rep.passed
         assert len(rep.records) == 3 * 3
         assert rep.summary() == "[PASS] construction"
+
+
+@pytest.mark.parametrize("report,model", [
+    (clt_report, flat(n=10)),
+    (dynkin_report, flat(n=10)),
+    (covariance_decay_report, flat(n=10)),
+    (covariance_anchor_report, flat(n=4)),
+])
+def test_sample_variances_need_two_replicas(report, model):
+    with pytest.raises(ValueError, match="replicas must be at least 2"):
+        report(model, SEED, t=0.5, replicas=1)
 
 
 def test_report_csv_round_trip(tmp_path):

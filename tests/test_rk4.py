@@ -3,7 +3,7 @@ import pytest
 
 from urnsir.fields import Kernel, ScalarField
 from urnsir.fluctuation import PanelSeries
-from urnsir.homogeneous import classic_sir_solve
+from urnsir.homogeneous import classic_clt_covariance
 from urnsir.hydro import GridSpec
 from urnsir.model import ModelSpec
 from urnsir.rk4 import rk4, time_index, time_steps
@@ -89,7 +89,7 @@ def test_solvers_share_the_time_grid(T, dt, n, h):
     series = PanelSeries(small_spec(), 3, dt, T)
     assert (series.n_steps, series.dt) == time_steps(T, dt)
     assert series.density.times.size == 2 * n + 1
-    state = classic_sir_solve(1.5, 0.2, T, dt)
+    state = classic_clt_covariance(1.5, 0.2, T, dt)
     assert np.array_equal(state.times, np.arange(n + 1) * time_steps(T, dt)[1])
 
 
@@ -105,7 +105,7 @@ def test_invalid_grid_raises_everywhere(T, dt):
     with pytest.raises(ValueError):
         PanelSeries(small_spec(), 3, dt, T)
     with pytest.raises(ValueError):
-        classic_sir_solve(1.5, 0.2, T, dt)
+        classic_clt_covariance(1.5, 0.2, T, dt)
 
 
 def test_time_index_tolerance():
