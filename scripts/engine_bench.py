@@ -3,17 +3,23 @@
     taskset -c 0 python3 scripts/engine_bench.py --src src --out table.json
     taskset -c 0 python3 scripts/engine_bench.py --src src --sweep \
         --out sweep.json
+    taskset -c 0 python3 scripts/engine_bench.py --src src --streams \
+        --out streams.json
 
 ``--src`` points at the ``src`` directory of the tree to time, so two trees
 (say, a commit and its parent) can be timed in one session with the same
 script.  Table mode times propose + apply of ``_Engine`` on R rows whose
 urns are 30 % infected and 70 % susceptible, min(STEPS, N / 2) steps per
 repeat so that no row is absorbed (the median of REPEATS repeats), at
-each N and R, and a single trajectory (``simulate``) at N = 400, 1000 and
-4000.  Sweep mode times the same steps with one block
+each N and R, and a single trajectory (``simulate``) at N = 4, 400, 1000
+and 4000.  Sweep mode times the same steps with one block
 and with blocks of each given size, to place the crossover of the block
-rule; it needs a tree that has ``gillespie.block_size``.  Process time of
-this process only; pin it to one CPU for steady numbers.
+rule; it needs a tree that has ``gillespie.block_size``.  Streams mode
+times ``replica_words`` through each of its two evaluators, numpy's Philox
+and the vectorised block function, over a grid of (streams, blocks per
+stream), to place the crossover of its path rule; it needs a tree that
+has ``streams._native_words``.  Process time of this process only; pin it
+to one CPU for steady numbers.
 """
 
 from __future__ import annotations
@@ -87,7 +93,11 @@ def us_per_step(n: int, r: int) -> dict:
 
 
 def single_trajectory(n: int, seeds=(1, 2, 3)) -> dict:
-    """Median over seeds of process time per event of ``simulate`` to T = 2."""
+    """Median over seeds of process time per event of ``simulate`` to T = 2.
+
+    Seeds whose trajectory has no event (none infected at N = 4) are run
+    but left out of the median.
+    """
     from urnsir.gillespie import simulate
 
     spec = model(n, t=2.0)
@@ -95,10 +105,47 @@ def single_trajectory(n: int, seeds=(1, 2, 3)) -> dict:
     for seed in seeds:
         t0 = time.process_time()
         traj = simulate(spec, seed)
-        per_event.append((time.process_time() - t0) / traj.events.size * 1e6)
+        took = time.process_time() - t0
+        if traj.events.size:
+            per_event.append(took / traj.events.size * 1e6)
         events.append(int(traj.events.size))
     return {"N": n, "seeds": list(seeds), "events": events,
             "us_per_event": statistics.median(per_event)}
+
+
+def stream_paths(counts, lengths) -> list[dict]:
+    """us per block of each replica_words evaluator, per (streams, blocks).
+
+    Words of the simulation stream from block 1; the median of REPEATS
+    calls after one untimed call, for grid points of at most 2^19 blocks.
+    """
+    import numpy as np
+
+    from urnsir import streams
+
+    ctr = np.array([0, streams.DOMAIN_SIMULATION, 0, 0], dtype=np.uint64)
+    out = []
+    for r in counts:
+        for blocks in lengths:
+            if r * blocks > 1 << 19:
+                continue
+            replicas = np.arange(r, dtype=np.uint64)
+            row = {"streams": r, "blocks": blocks}
+            for name, path in (("native", streams._native_words),
+                               ("vector", streams._vector_words)):
+                times = []
+                for rep in range(-1, REPEATS):
+                    t0 = time.process_time()
+                    path(7, replicas, 4 * blocks, ctr, 1)
+                    if rep >= 0:
+                        times.append(time.process_time() - t0)
+                row[f"{name}_us_per_block"] = (statistics.median(times)
+                                               / (r * blocks) * 1e6)
+            row["faster"] = min(("native", "vector"),
+                                key=lambda k: row[f"{k}_us_per_block"])
+            out.append(row)
+            print(json.dumps(row), flush=True)
+    return out
 
 
 def sweep(ns, rs, sizes) -> list[dict]:
@@ -128,12 +175,17 @@ def main() -> int:
     parser.add_argument("--src", required=True)
     parser.add_argument("--out", required=True)
     parser.add_argument("--sweep", action="store_true")
+    parser.add_argument("--streams", action="store_true")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     # a row absorbed in a repeat divides by a total rate of 0
     warnings.simplefilter("ignore", RuntimeWarning)
     us_per_step(200, 40)  # the first timings of a process run slower
-    if args.sweep:
+    if args.streams:
+        result = {"streams": stream_paths(
+            (1, 4, 16, 32, 64, 128, 200, 400, 1000, 10000),
+            (1, 2, 4, 8, 12, 16, 24, 32, 64, 500))}
+    elif args.sweep:
         result = {"sweep": sweep((100, 200, 300, 400, 500, 600, 800, 1000),
                                  (1, 40, 200), (8, 16, 24, 32))}
     else:
@@ -143,6 +195,8 @@ def main() -> int:
                 table.append(us_per_step(n, r))
                 print(json.dumps(table[-1]), flush=True)
         result = {"table": table, "single": []}
+        result["single"].append(single_trajectory(4, seeds=range(1, 201)))
+        print(json.dumps(result["single"][-1]), flush=True)
         for n in (400, 1000, 4000):
             result["single"].append(single_trajectory(n))
             print(json.dumps(result["single"][-1]), flush=True)

@@ -9,8 +9,9 @@ clock tables of a batch at once; a batch holds at most ``BATCH_CELLS``
 replica-urn state cells (replica-urn-urn cells for clock tables).  What a
 cell costs depends on the engine:
 
-* constant rates: an 8-byte urn permutation, plus, while a snapshot is
-  read, a copy of it for the rows read and three 1-byte temporaries;
+* constant rates: a 4-byte (int32) urn permutation, plus, while a
+  snapshot is read, a copy of it for the rows read and three 1-byte
+  temporaries;
 * general rates: 16 bytes (float infected and susceptible indicators),
   and from ``gillespie.BLOCKED_FROM`` urns 8 (r + 1) more for the rate
   terms of a rank-r kernel (twice that while they are built);

@@ -175,8 +175,9 @@ class _Engine:
     event count, and step s reads block s + 1 of each row's simulation
     stream: the holding time from word 0, the target from word 1 and the
     infection source from word 2.  One replica reads its stream through
-    numpy's Philox, a batch through the vectorised evaluator, one block of
-    events per call either way; both give the same words.
+    its own numpy Philox, a batch through
+    :func:`urnsir.streams.replica_words`, the words of many events per call
+    either way; both give the same words.
     """
 
     def __init__(self, spec: ModelSpec, seed: int, replicas, states):
@@ -195,6 +196,9 @@ class _Engine:
             # costs more than scalar indexing (a table model at N = 400
             # went from 32 to 51-98 us per event)
             self._view = self._ix = 0
+            # its own generator, not replica_words: that call's checks and
+            # re-keying made single trajectories at N = 4 about 3 % slower
+            # per event (BENCH_23.json)
             self._rng = derive_rng(seed, DOMAIN_SIMULATION,
                                    replica=int(self.replicas[0]))
         else:
@@ -282,9 +286,10 @@ class _Engine:
     def _init_uniform(self, states, lam0: float, psi0: float) -> None:
         self._lam0, self._psi0 = lam0, psi0
         # each row's urns in three runs, susceptible, infected, removed
-        # (each in urn order at the start), and the sizes of the first two
+        # (each in urn order at the start), and the sizes of the first two;
+        # int32 urn numbers, copied whole each time a row retires
         group = np.where(states == REMOVED, 2, states)
-        self._perm = np.argsort(group, axis=1, kind="stable")
+        self._perm = np.argsort(group, axis=1, kind="stable").astype(np.int32)
         self._counts = np.stack([(group == 0).sum(axis=1),
                                  (group == 1).sum(axis=1)], axis=1) * 1.0
 

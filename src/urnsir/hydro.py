@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvout import write_time_rows
-from .fields import TestFunction, _node_sum, sites
+from .fields import TestFunction, sites
 from .model import ModelSpec
 from .rk4 import rk4, stored_steps, time_index, time_steps
 
@@ -118,16 +118,26 @@ def _density_rhs(spec: ModelSpec, ms: tuple):
 
     The node grids of ``ms`` lie side by side along the last axis, and each
     takes its kernel node sum on its own slice, so every grid's derivative
-    is the one it has alone.
+    is the one it has alone.  Each grid's node sum is the arithmetic of
+    :meth:`Kernel.node_average` in its order, into buffers made once: the
+    (r, M) products, their sums along the nodes, the sums over M, then
+    their dot product with the left factors.
     """
-    rungs = [(cut, *spec.lam.factors(m)) for cut, m in zip(_cuts(ms), ms)]
+    rungs = []
+    for cut, m in zip(_cuts(ms), ms):
+        left, right = spec.lam.factors(m)
+        rungs.append((cut, left.T, right.T, np.empty(right.T.shape),
+                      np.empty(right.shape[1]), float(m)))
     psi_v = np.concatenate([spec.psi.at_sites(m) for m in ms])
     force = np.empty(sum(ms))
 
     def f(y, j, out):
         rho1, rho0, d1, d0 = y[0], y[1], out[0], out[1]
-        for cut, left, right in rungs:
-            _node_sum(left, right, rho1[cut], force[cut])
+        for cut, left_t, right_t, prod, sums, m in rungs:
+            np.multiply(right_t, rho1[cut], prod)
+            np.add.reduce(prod, -1, out=sums)
+            np.divide(sums, m, sums)
+            np.dot(sums, left_t, force[cut])
         np.multiply(rho0, force, d0)
         np.subtract(d0, np.multiply(psi_v, rho1, d1), d1)
         np.negative(d0, d0)

@@ -15,13 +15,17 @@ for clock rows), zero where a domain uses fewer.  The layout is fixed, so a
 missing index is the index 0.  This rule is the whole reproducibility
 contract: nothing else in the package draws randomness.
 
-Two evaluators give the same words.  A single stream is numpy's own bit
-generator, ``np.random.Philox(key=..., counter=...)``, which adds one to
-the counter before each block, so :func:`derive_rng` starts it at counter
-(0, domain, i, j).  :func:`philox` evaluates the block function in numpy for
-many keys and counters at once, which is how an ensemble draws for all its
-replicas in one call; it works through at most ``CHUNK`` counters at a
-time, which bounds its temporaries.
+Two evaluators give the same words.  numpy's own bit generator,
+``np.random.Philox(key=..., counter=...)``, adds one to the counter before
+each block, so :func:`derive_rng` starts it at counter (0, domain, i, j).
+:func:`philox` evaluates the block function in numpy for many keys and
+counters at once; it works through at most ``CHUNK`` counters at a time,
+which bounds its temporaries.  :func:`replica_words`, the one stream of
+many replicas, takes numpy's Philox, re-keyed for each replica, when the
+streams are long (``NATIVE_BLOCKS`` blocks or more) or few (at most
+``NATIVE_STREAMS``), and the vectorised evaluator for many short streams,
+where numpy's fixed cost per stream outweighs the vectorised cost per
+block (``scripts/engine_bench.py --streams`` places the crossover).
 
 Words become numbers one way: :func:`uniforms` is (w >> 11) 2^-53 on
 [0, 1), what ``Generator.random`` returns from the same words, and
@@ -41,6 +45,8 @@ __all__ = [
     "uniforms",
     "exponentials",
     "CHUNK",
+    "NATIVE_BLOCKS",
+    "NATIVE_STREAMS",
     "DOMAIN_SIMULATION",
     "DOMAIN_INITIAL",
     "DOMAIN_RECOVERY_CLOCKS",
@@ -55,6 +61,11 @@ DOMAIN_PAIR_CLOCKS = 4  # pair clocks, i = bank, j = target urn (0-based)
 DOMAIN_SAMPLING = 6  # auxiliary sampling in reports (pair selection etc.)
 
 CHUNK = 1 << 14  # counters per vectorised block evaluation
+# replica_words takes numpy's Philox for streams of at least NATIVE_BLOCKS
+# blocks or for at most NATIVE_STREAMS streams (measured crossover,
+# BENCH_23.json), the vectorised evaluator otherwise
+NATIVE_BLOCKS = 20
+NATIVE_STREAMS = 64
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -175,15 +186,56 @@ def replica_words(seed: int, replicas, n_words: int, domain: int,
 
     Row q holds the words of stream (seed, replicas[q], domain, *index)
     from block ``first_block`` on: for first_block = 1 the same words as
-    ``derive_rng(seed, domain, *index, replica=replicas[q])`` gives, drawn
-    for every replica by vectorised evaluation, about ``CHUNK`` counters
-    at a time.
+    ``derive_rng(seed, domain, *index, replica=replicas[q])`` gives.  Long
+    or few streams are read from numpy's Philox, many short ones evaluated
+    together, about ``CHUNK`` counters at a time; both give the same words.
     """
-    replicas = np.asarray(replicas, dtype=np.uint64)
+    if n_words < 0:
+        raise ValueError("n_words must be >= 0")
+    if first_block < 1:
+        raise ValueError("first_block must be >= 1")
+    replicas = np.asarray(replicas, dtype=np.uint64).reshape(-1)
+    seed = _check_component(seed)
+    ctr = np.array(_counter(domain, index), dtype=np.uint64)
+    n_blocks = -(-n_words // 4)
+    if n_blocks == 0:
+        return np.empty((replicas.size, 0), dtype=np.uint64)
+    if n_blocks >= NATIVE_BLOCKS or replicas.size <= NATIVE_STREAMS:
+        return _native_words(seed, replicas, n_words, ctr, first_block)
+    return _vector_words(seed, replicas, n_words, ctr, first_block)
+
+
+def _native_words(seed: int, replicas: np.ndarray, n_words: int,
+                  ctr: np.ndarray, first_block: int) -> np.ndarray:
+    """:func:`replica_words` from one numpy Philox, re-keyed per replica.
+
+    Each row sets the key (seed, replica) and the counter first_block - 1
+    through the ``state`` setter, with the word buffer empty, and reads
+    ``n_words`` words.
+    """
+    key = np.array([seed, 0], dtype=np.uint64)
+    ctr = ctr.copy()
+    ctr[0] = first_block - 1
+    bits = np.random.Philox(key=key, counter=ctr)
+    # the state of a fresh generator at each key: buffer_pos 4 marks the
+    # word buffer empty, so the next word starts block first_block
+    state = {"bit_generator": "Philox", "state": {"counter": ctr, "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    out = np.empty((replicas.size, n_words), dtype=np.uint64)
+    for q, replica in enumerate(replicas.tolist()):
+        key[1] = replica
+        bits.state = state
+        out[q] = bits.random_raw(n_words)
+    return out
+
+
+def _vector_words(seed: int, replicas: np.ndarray, n_words: int,
+                  ctr: np.ndarray, first_block: int) -> np.ndarray:
+    """:func:`replica_words` by the vectorised block function, whole
+    streams of about ``CHUNK`` counters at a time."""
     n_blocks = -(-n_words // 4)
     blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)
-    ctr = np.array(_counter(domain, index), dtype=np.uint64)
-    seed = _check_component(seed)
     out = np.empty((replicas.size, 4 * n_blocks), dtype=np.uint64)
     step = max(1, CHUNK // n_blocks)
     for lo in range(0, replicas.size, step):

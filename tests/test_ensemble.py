@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urnsir import ensemble
+from urnsir import ensemble, streams
 from urnsir.ensemble import (
     EnsembleResult,
     EnsembleSpec,
@@ -114,6 +114,34 @@ class TestDeterminism:
             row = [state_from_clocks(clocks, initial, m, t)
                    for m in range(1, model.N + 1)]
             np.testing.assert_array_equal(states[r], row)
+
+    @pytest.mark.parametrize("lam", [
+        Kernel.constant(3.0),
+        Kernel.table([[2.5, 3.0], [3.2, 4.0]]),
+    ], ids=["uniform", "table"])
+    def test_rows_match_when_refills_change_path(self, lam, monkeypatch):
+        # 1200 replicas draw 13 blocks each at first, the vectorised path;
+        # more than half hold no infected urn and retire at once, so the
+        # next refill is long enough for numpy's Philox, and the last one
+        # short again
+        model = ModelSpec(lam=lam, psi=ScalarField.constant(1.0),
+                          phi=ScalarField.constant(0.02), N=30, T=5.0)
+        paths = []
+        for name in ("_native_words", "_vector_words"):
+            def spy(seed, replicas, n_words, ctr, first_block,
+                    path=getattr(streams, name), name=name):
+                if ctr[1] == streams.DOMAIN_SIMULATION:
+                    paths.append(name)
+                return path(seed, replicas, n_words, ctr, first_block)
+            monkeypatch.setattr(streams, name, spy)
+        ens = EnsembleSpec(model=model, replicas=1200, master_seed=3,
+                           snapshot_times=(1.0, 5.0))
+        result = run_ensemble(ens)
+        assert paths[:3] == ["_vector_words", "_native_words",
+                             "_vector_words"]
+        for r in range(0, ens.replicas, 5):
+            rows = snapshot_states(model, 3, ens.snapshot_times, replica=r)
+            np.testing.assert_array_equal(result.states[r], rows)
 
     def test_prefix_stability(self):
         # growing the ensemble must not change earlier replicas

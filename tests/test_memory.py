@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from urnsir.fields import Kernel, ScalarField
-from urnsir.gillespie import _Engine
+from urnsir.gillespie import _Engine, _run
 from urnsir.hydro import _solve_grids
 from urnsir.model import (
     INFECTED,
@@ -148,3 +148,16 @@ def test_initial_states_memory():
     # R = 200, N = 2000: 9.7 MB by the one-draw formula
     spec = constant(2000)
     assert peak_mb(lambda: initial_states(spec, 7, np.arange(200))) < 3.0
+
+
+def test_uniform_engine_memory():
+    # R = 200, N = 2000 stepped to T: the engine's int32 permutation, its
+    # copies as rows retire and the states read at 0 and T; 8.6 MB with an
+    # int64 permutation
+    spec = constant(2000)
+    rows = np.arange(200)
+    states = initial_states(spec, 7, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mb = peak_mb(lambda: _run(_Engine(spec, 7, rows, states),
+                                  np.array([0.0, spec.T])))
+    assert mb < 7.0

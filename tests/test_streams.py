@@ -189,6 +189,99 @@ class TestReplicaWords:
             words[0], rng.bit_generator.random_raw(20)[12:])
 
 
+def numpy_words(seed, replica, n_words, domain, index=(), first_block=1):
+    """n_words of numpy's own Philox from block first_block of a stream."""
+    counter = [first_block - 1, domain, *index, *[0] * (2 - len(index))]
+    bits = np.random.Philox(key=np.array([seed, replica], dtype=np.uint64),
+                            counter=np.array(counter, dtype=np.uint64))
+    return bits.random_raw(n_words)
+
+
+@pytest.fixture(params=["rule", "native", "vector"])
+def path(request, monkeypatch):
+    """replica_words as it picks its path, and forced onto each path."""
+    if request.param == "native":
+        monkeypatch.setattr(streams, "NATIVE_STREAMS", 1 << 62)
+    elif request.param == "vector":
+        monkeypatch.setattr(streams, "NATIVE_BLOCKS", 1 << 62)
+        monkeypatch.setattr(streams, "NATIVE_STREAMS", -1)
+    return request.param
+
+
+class TestReplicaWordPaths:
+    """Both evaluators of replica_words give numpy's Philox words."""
+
+    # the rule's constants as imported, before any test forces a path
+    MANY = np.arange(streams.NATIVE_STREAMS + 1) * 7
+    LONG = streams.NATIVE_BLOCKS
+
+    def check(self, seed, replicas, n_words, domain, index=(),
+              first_block=1):
+        got = replica_words(seed, replicas, n_words, domain, *index,
+                            first_block=first_block)
+        assert got.dtype == np.uint64
+        assert got.shape == (len(replicas), n_words)
+        for row, r in zip(got, replicas):
+            np.testing.assert_array_equal(
+                row, numpy_words(seed, int(r), n_words, domain, index,
+                                 first_block))
+
+    @pytest.mark.parametrize("blocks", [streams.NATIVE_BLOCKS - 1,
+                                        streams.NATIVE_BLOCKS])
+    def test_blocks_at_and_below_the_crossover(self, path, blocks):
+        self.check(11, self.MANY, 4 * blocks, DOMAIN_SIMULATION)
+
+    @pytest.mark.parametrize("n_words", [1, 3, 5, 4 * streams.NATIVE_BLOCKS
+                                         + 2])
+    def test_words_not_a_multiple_of_four(self, path, n_words):
+        self.check(11, self.MANY, n_words, DOMAIN_INITIAL, (1,))
+
+    def test_later_first_block(self, path):
+        self.check(11, self.MANY, 10, DOMAIN_SIMULATION, first_block=37)
+        self.check(11, [3], 4 * self.LONG, DOMAIN_SIMULATION, first_block=2)
+
+    def test_two_index_words(self, path):
+        self.check(5, self.MANY, 9, DOMAIN_PAIR_CLOCKS, (1, 3))
+        self.check(5, [0, 2], 9, DOMAIN_PAIR_CLOCKS, (TOP, TOP))
+
+    @pytest.mark.parametrize("replicas", [
+        [9, 2, 5, 0],
+        [4, 4, 1, 4],
+        np.arange(200)[::-1] % 37,
+        [],
+    ], ids=["unsorted", "repeated", "many-repeated", "empty"])
+    def test_replica_lists(self, path, replicas):
+        self.check(2, np.array(replicas, dtype=np.int64), 6,
+                   DOMAIN_RECOVERY_CLOCKS, (1,))
+
+    def test_largest_seed_and_replica(self, path):
+        self.check(TOP, [TOP, 0, TOP - 1], 7, DOMAIN_SAMPLING, (TOP,))
+
+    def test_path_follows_the_call_shape(self, monkeypatch):
+        # long or few streams read numpy's Philox, many short ones the
+        # vectorised block function
+        taken = []
+        for name in ("_native_words", "_vector_words"):
+            monkeypatch.setattr(streams, name,
+                                lambda *a, name=name: taken.append(name))
+        few, many = streams.NATIVE_STREAMS, streams.NATIVE_STREAMS + 1
+        long, short = streams.NATIVE_BLOCKS, streams.NATIVE_BLOCKS - 1
+        for r, blocks in ((1, 1), (few, short), (many, long), (many, short)):
+            replica_words(1, np.arange(r), 4 * blocks, DOMAIN_SIMULATION)
+        assert taken == ["_native_words"] * 3 + ["_vector_words"]
+
+    @pytest.mark.parametrize("r", [0, 3, streams.NATIVE_STREAMS + 5])
+    def test_no_words(self, path, r):
+        words = replica_words(1, np.arange(r), 0, DOMAIN_SIMULATION)
+        assert words.shape == (r, 0) and words.dtype == np.uint64
+
+    def test_bad_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            replica_words(1, [0], -1, DOMAIN_SIMULATION)
+        with pytest.raises(ValueError):
+            replica_words(1, [0], 4, DOMAIN_SIMULATION, first_block=0)
+
+
 class TestTransforms:
     def test_uniforms_are_generator_random(self):
         rng = derive_rng(5, DOMAIN_INITIAL, 1)
