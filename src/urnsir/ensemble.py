@@ -33,7 +33,6 @@ from .fields import TestFunction
 from .gillespie import lockstep_states, snapshot_states
 from .graphical import clock_states, state_from_clocks
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec
-from .rk4 import time_index
 
 __all__ = [
     "EnsembleSpec",
@@ -84,13 +83,6 @@ class EnsembleResult:
         )
         if self.states.shape != expected:
             raise ValueError(f"states must have shape {expected}")
-
-    @property
-    def times(self) -> tuple:
-        return self.spec.snapshot_times
-
-    def time_index(self, t: float) -> int:
-        return time_index(self.spec.snapshot_times, t)
 
     def indicator(self, which: int, k: int) -> np.ndarray:
         """(replicas, N) 0/1 array of 1{state == which} at snapshot k."""

@@ -125,16 +125,13 @@ class ScalarField:
     def sup_norm(self) -> float:
         return max(abs(self.min_value()), abs(self.max_value()))
 
-    def is_constant(self) -> bool:
-        if self.form == "constant":
-            return True
-        if self.form == "affine":
-            return self.values[1] == 0.0
-        return len(set(self.values)) == 1
-
     def constant_value(self) -> float | None:
         """The single value this field takes, or None if non-constant."""
-        return self.values[0] if self.is_constant() else None
+        if self.form == "affine":
+            constant = self.values[1] == 0.0
+        else:
+            constant = len(set(self.values)) == 1
+        return self.values[0] if constant else None
 
 
 #: Test functions share the scalar-field representation; negative node
@@ -226,10 +223,23 @@ class Kernel:
         """(1/M) sum_q lambda(u_m, q/M) values[q] on the grid of ``values``.
 
         This right-endpoint node sum is the package-wide quadrature; it
-        mirrors the empirical sums (1/N) sum_j f(j/N) exactly.
+        mirrors the empirical sums (1/N) sum_j f(j/N) exactly.  A (rows, M)
+        table of values forms its (rows, r, M) products _SUM_ROWS rows at a
+        time, which bounds that temporary.
         """
         values = np.asarray(values, dtype=float)
-        return _node_sum(*self.factors(values.shape[-1]), values)
+        left, right = self.factors(values.shape[-1])
+        # sum along the last axis, as values.mean(-1) does: constant and
+        # separable kernels then give the closed-form sums bit for bit; each
+        # row is summed on its own, so blocks of rows give the same sums
+        if values.ndim != 2:
+            sums = np.add.reduce(right.T * values[..., None, :], -1)
+        else:
+            sums = np.empty((len(values), right.shape[1]))
+            for k in range(0, len(values), _SUM_ROWS):
+                np.add.reduce(right.T * values[k:k + _SUM_ROWS, None, :], -1,
+                              out=sums[k:k + _SUM_ROWS])
+        return np.dot(sums / values.shape[-1], left.T)
 
     def min_value(self) -> float:
         if self.form == "constant":
@@ -262,25 +272,6 @@ class Kernel:
 def _hat(u: np.ndarray, m: int) -> np.ndarray:
     """Hat functions of the corner-inclusive grid k/(M-1) at u, (..., M)."""
     return np.maximum(0.0, 1.0 - np.abs(u[..., None] * (m - 1) - np.arange(m)))
-
-
-def _node_sum(left: np.ndarray, right: np.ndarray, values: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """:meth:`Kernel.node_average` from the kernel's factors on the grid of
-    ``values``, for callers that look the factors up once; written into
-    ``out`` when given.  A (rows, M) table of values forms its (rows, r, M)
-    products _SUM_ROWS rows at a time, which bounds that temporary."""
-    # sum along the last axis, as values.mean(-1) does: constant and
-    # separable kernels then give the closed-form sums bit for bit; each
-    # row is summed on its own, so blocks of rows give the same sums
-    if values.ndim != 2:
-        sums = np.add.reduce(right.T * values[..., None, :], -1)
-    else:
-        sums = np.empty((len(values), right.shape[1]))
-        for k in range(0, len(values), _SUM_ROWS):
-            np.add.reduce(right.T * values[k:k + _SUM_ROWS, None, :], -1,
-                          out=sums[k:k + _SUM_ROWS])
-    return np.dot(sums / values.shape[-1], left.T, out)
 
 
 @lru_cache(maxsize=32)

@@ -109,20 +109,15 @@ class PanelSeries:
         self.rho0_m = rho0 / m
         self.left, self.right = spec.lam.factors(m)
 
-    def drift(self, j: int, y: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """S y at half step j for stacked weight columns y, (2M, K).
-
-        Written into ``out`` when given (not y itself), else a new array.
-        """
+    def drift(self, j: int, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """S y at half step j for stacked weight columns y, (2M, K), written
+        into ``out`` (not y itself)."""
         m = self.m
         top, bottom = y[:m], y[m:]
         # infections move weight from beta to eta: A0^T top + kappa1 bottom
         gain = self.left.dot(self.right.T.dot(top))
         gain *= self.rho0_m[j][:, None]
         gain += self.kappa1[j][:, None] * bottom
-        if out is None:
-            out = np.empty_like(y)
         np.subtract(gain, self.psi[:, None] * top, out=out[:m])
         np.negative(gain, out=out[m:])
         return out

@@ -448,8 +448,6 @@ class Simulation:
     """
 
     def __init__(self, spec: ModelSpec, seed: int, replica: int = 0):
-        self.spec = spec
-        self.seed = int(seed)
         self.initial = sample_initial(spec, seed, replica)
         self._engine = _Engine(spec, seed, replica,
                                self.initial.states[None])

@@ -13,18 +13,21 @@ minimal such sum c determines the state at time t:
     infected if c + K_m > t,  removed if c + K_m <= t,  susceptible if no
     path exists with c <= t.
 
-Minimal sums over nonnegative clocks are shortest paths, so states come
-from a Dijkstra-style search restricted to links with U < K, run backwards
-from the queried urn (the search then only touches the urns that could
-have influenced it).  :func:`clock_states` evaluates whole tables of many
-replicas at once instead, by min-plus relaxation forward from the
-initially infected urns.
+Minimal sums over nonnegative clocks are shortest paths.  One
+Dijkstra-style search, run backwards from the queried urn, yields urns in
+order of their least clock sum to it, capped at a horizon, and so only
+touches the urns that could have influenced it.  Restricted to links with
+U < K, its first yielded urn that starts infected gives c; unrestricted,
+the urns it yields are the queried urn's influence set.
+:func:`clock_states` evaluates whole tables of many replicas at once
+instead, by min-plus relaxation forward from the initially infected urns.
 
-The four-urn coupling swaps clock rows of already-explored regions for
-independent replica banks (2..4), which leaves each marginal law unchanged
-while decoupling the four states outside an explicit event whose failure
-probability is O(1/N); ``coupled_quadruple`` returns the coupled states
-and that event's indicator.
+The four-urn coupling swaps the clock rows of the earlier urns' influence
+sets for independent replica banks (2..4), which leaves each marginal law
+unchanged while decoupling the four states outside an explicit event
+whose failure probability is O(1/N); the same search, with urns deleted,
+gives the blocked sets that event is read from.  ``coupled_quadruple``
+returns the coupled states and that event's indicator.
 
 The table of replica r of a seed draws from the streams keyed (seed, r)
 (see :mod:`urnsir.streams`): recovery clocks and initial states of bank b
@@ -153,12 +156,15 @@ class ClockTable:
         return row
 
 
-def _reach(row_fn, n: int, root: int, horizon: float, blocked) -> dict:
-    """Minimal clock sums of paths from ``root``, capped at ``horizon``.
+def _paths(row_fn, root: int, horizon: float, k_vec=None, blocked=()):
+    """(sum, urn) in order of the urn's least clock sum to ``root``.
 
-    Returns {vertex: minimal sum} over everything reachable with sum <=
-    horizon, root included at 0; vertices in ``blocked`` are deleted from
-    the graph.  All 0-based.
+    Dijkstra backwards from the root, which comes first at 0: a link from
+    the path urn v to a candidate source w costs U_(v, w), read from
+    ``row_fn(v)`` once the urn after v is asked for.  Only sums <= horizon
+    are followed; given recovery clocks ``k_vec``, only links with
+    U_(v, w) < K_w; urns in ``blocked`` are deleted from the graph.  All
+    0-based.
     """
     dist = {root: 0.0}
     heap = [(0.0, root)]
@@ -168,8 +174,13 @@ def _reach(row_fn, n: int, root: int, horizon: float, blocked) -> dict:
         if v in done:
             continue
         done.add(v)
-        nd = d + row_fn(v)
-        for w in np.nonzero(nd <= horizon)[0]:
+        yield d, v
+        row = row_fn(v)
+        nd = d + row
+        usable = nd <= horizon
+        if k_vec is not None:
+            usable &= row < k_vec
+        for w in np.nonzero(usable)[0]:
             w = int(w)
             if w in done or w in blocked:
                 continue
@@ -177,46 +188,17 @@ def _reach(row_fn, n: int, root: int, horizon: float, blocked) -> dict:
             if val < dist.get(w, np.inf):
                 dist[w] = val
                 heapq.heappush(heap, (val, w))
-    return dist
 
 
-def _first_infection(row_fn, k_vec, init_vec, root: int, t: float) -> float:
-    """Minimal admissible path sum from an initially infected urn to root.
-
-    Runs Dijkstra backwards from the root; a link from the path vertex v to
-    a candidate source w costs U_(v, w) and is usable only when
-    U_(v, w) < K_w.  Returns inf when no admissible path has sum <= t.
-    """
-    if init_vec[root] == 1:
-        return 0.0
-    dist = {root: 0.0}
-    heap = [(0.0, root)]
-    done = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        if init_vec[v] == 1:
-            return d
-        done.add(v)
-        row = row_fn(v)
-        nd = d + row
-        usable = (row < k_vec) & (nd <= t)
-        for w in np.nonzero(usable)[0]:
-            w = int(w)
-            if w in done:
-                continue
-            val = float(nd[w])
-            if val < dist.get(w, np.inf):
-                dist[w] = val
-                heapq.heappush(heap, (val, w))
-    return np.inf
-
-
-def _state_at(c: float, k_root: float, t: float) -> int:
+def _state(row_fn, k_vec, init, root: int, t: float) -> int:
+    """State of ``root`` at t; c is the sum of the first urn that
+    :func:`_paths` reaches over admissible links and that starts infected
+    (inf when there is none)."""
+    c = next((d for d, v in _paths(row_fn, root, t, k_vec) if init[v] == 1),
+             np.inf)
     if c > t:
         return 0
-    return 1 if c + k_root > t else -1
+    return 1 if c + float(k_vec[root]) > t else -1
 
 
 def state_from_clocks(
@@ -239,11 +221,8 @@ def state_from_clocks(
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
 
-    k_vec = clocks.recovery_clocks(1)
-    c = _first_infection(
-        lambda v: clocks._row(v, 1), k_vec, init, m - 1, t
-    )
-    return _state_at(c, float(k_vec[m - 1]), t)
+    return _state(lambda v: clocks._row(v, 1), clocks.recovery_clocks(1),
+                  init, m - 1, t)
 
 
 def clock_states(spec: ModelSpec, seed: int, replicas, t: float) -> np.ndarray:
@@ -298,8 +277,6 @@ class CoupledQuadruple:
     t: float
     states: tuple
     omega_ok: bool
-    influence_sets: tuple
-    blocked_sets: tuple
 
 
 def coupled_quadruple(
@@ -316,92 +293,53 @@ def coupled_quadruple(
     ones.
     """
     spec = clocks.spec
-    n = spec.N
     urns = tuple(int(u) for u in urns)
     if len(urns) != 4 or len(set(urns)) != 4:
         raise ValueError("need four distinct urns")
-    if not all(1 <= u <= n for u in urns):
+    if not all(1 <= u <= spec.N for u in urns):
         raise ValueError("urn out of range")
     if not (0.0 <= t <= spec.T):
         raise ValueError("t must lie in [0, T]")
-    horizon = spec.T
-    i0, j0, k0, l0 = (u - 1 for u in urns)
-
-    def primary_row(v: int) -> np.ndarray:
-        return clocks._row(v, 1)
-
-    def swapped_row(subst: set, bank: int):
-        def row(v: int) -> np.ndarray:
-            return clocks._row(v, bank if v in subst else 1)
-        return row
-
-    def swapped_vec(base: np.ndarray, repl: np.ndarray, subst: set):
-        out = base.copy()
-        idx = list(subst)
-        out[idx] = repl[idx]
-        return out
-
-    gamma_i = set(_reach(primary_row, n, i0, t, ()))
-    row_j = swapped_row(gamma_i, 2)
-    gamma_j = set(_reach(row_j, n, j0, t, ()))
-    row_k = swapped_row(gamma_i | gamma_j, 3)
-    gamma_k = set(_reach(row_k, n, k0, t, ()))
-    row_l = swapped_row(gamma_i | gamma_j | gamma_k, 4)
-
+    roots = [u - 1 for u in urns]
     k1 = clocks.recovery_clocks(1)
     init1 = clocks.initial_states(1)
 
-    def hat_state(row_fn, subst: set, bank: int, root: int) -> int:
-        k_vec = swapped_vec(k1, clocks.recovery_clocks(bank), subst)
-        init = swapped_vec(init1, clocks.initial_states(bank), subst)
-        c = _first_infection(row_fn, k_vec, init, root, t)
-        return _state_at(c, float(k_vec[root]), t)
+    # each root's clocks: bank b in place of bank 1 on the urns that the
+    # earlier roots' searches (their influence sets) reach
+    explored: set = set()
+    row_fns, states = [], []
+    for bank, root in zip(BANKS, roots):
+        subst = list(explored)
 
-    xi_i = _state_at(
-        _first_infection(primary_row, k1, init1, i0, t),
-        float(k1[i0]),
-        t,
-    )
-    xi_j = hat_state(row_j, gamma_i, 2, j0)
-    xi_k = hat_state(row_k, gamma_i | gamma_j, 3, k0)
-    xi_l = hat_state(row_l, gamma_i | gamma_j | gamma_k, 4, l0)
+        def row_fn(v, subst=frozenset(subst), bank=bank):
+            return clocks._row(v, bank if v in subst else 1)
 
-    b1 = set(_reach(primary_row, n, i0, t, {j0, k0, l0}))
-    b2 = set(_reach(row_j, n, j0, t, b1 | {k0, l0}))
-    b3 = set(_reach(row_k, n, k0, t, b1 | b2 | {l0}))
-    b4 = set(_reach(row_l, n, l0, t, b1 | b2 | b3))
-    b_sets = (b1, b2, b3, b4)
+        k_vec, init = k1.copy(), init1.copy()
+        k_vec[subst] = clocks.recovery_clocks(bank)[subst]
+        init[subst] = clocks.initial_states(bank)[subst]
+        states.append(_state(row_fn, k_vec, init, root, t))
+        row_fns.append(row_fn)
+        if bank != BANKS[-1]:
+            explored.update(v for _, v in _paths(row_fn, root, t))
 
-    def clocks_clear(rows, cols) -> bool:
-        cols = list(cols)
-        if not cols:
-            return True
-        for v in rows:
-            if np.min(primary_row(v)[cols]) <= horizon:
-                return False
-        return True
+    def clear(targets, sources) -> bool:
+        """No primary clock from a source to a target is <= T."""
+        sources = list(sources)
+        return all(clocks._row(v, 1)[sources].min() > spec.T
+                   for v in targets)
 
+    # blocked sets: each root's search with the earlier roots' blocked sets
+    # and the later roots deleted; omega needs no clock between them
     omega = True
-    for m1 in range(1, 4):
-        for m2 in range(m1):  # m2 < m1, 0-based over b_sets
-            if not clocks_clear(b_sets[m1], b_sets[m2]):
-                omega = False
-                break
-        if not omega:
-            break
-    if omega:
-        omega = (
-            clocks_clear(b1, [j0])
-            and clocks_clear(b1 | b2, [k0])
-            and clocks_clear(b1 | b2 | b3, [l0])
-        )
+    earlier: set = set()
+    for m, (row_fn, root) in enumerate(zip(row_fns, roots)):
+        blocked = {v for _, v in _paths(row_fn, root, t,
+                                        blocked=earlier.union(roots[m + 1:]))}
+        if earlier:
+            omega = (omega and clear(blocked, earlier)
+                     and clear(earlier, [root]))
+        earlier |= blocked
 
-    to_urns = lambda s: frozenset(v + 1 for v in s)  # noqa: E731
     return CoupledQuadruple(
-        urns=urns,
-        t=float(t),
-        states=(xi_i, xi_j, xi_k, xi_l),
-        omega_ok=bool(omega),
-        influence_sets=(to_urns(gamma_i), to_urns(gamma_j), to_urns(gamma_k)),
-        blocked_sets=tuple(to_urns(b) for b in b_sets),
+        urns=urns, t=float(t), states=tuple(states), omega_ok=omega
     )

@@ -66,10 +66,6 @@ class GridSpec:
     def n_steps(self) -> int:
         return time_steps(self.T, self.dt)[0]
 
-    def step(self) -> float:
-        """Actual step T / n_steps (equals dt when dt divides T)."""
-        return time_steps(self.T, self.dt)[1]
-
 
 @dataclass(frozen=True)
 class DensityField:

@@ -58,8 +58,6 @@ class ModelSpec:
             raise ValueError("phi must take values in [0, 1]")
         if self.psi.min_value() < 0.0:
             raise ValueError("psi must be nonnegative")
-        if self.lam.min_value() < 0.0:
-            raise ValueError("lambda must be nonnegative")
 
     def with_n(self, n: int) -> "ModelSpec":
         return replace(self, N=n)
@@ -93,16 +91,6 @@ class Configuration:
             raise ValueError("states must lie in {-1, 0, 1}")
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "time", float(self.time))
-
-    @property
-    def n(self) -> int:
-        return self.states.size
-
-    def counts(self) -> tuple[int, int, int]:
-        """(#susceptible, #infected, #removed)."""
-        s = int(np.count_nonzero(self.states == SUSCEPTIBLE))
-        i = int(np.count_nonzero(self.states == INFECTED))
-        return s, i, self.n - s - i
 
 
 def sample_initial(spec: ModelSpec, seed: int,

@@ -9,7 +9,7 @@ distributions come from uniformization
     p(t) = sum_k  Poisson(Lambda t; k) * p(0) P^k,     P = I + Q / Lambda,
 
 with the clean uniformization constant Lambda = N (||psi|| + ||lambda||) and
-the Poisson tail truncated below ``tol`` in total variation.
+the Poisson tail truncated below ``TV_TOL`` in total variation.
 
 Everything here is the independent reference ("oracle") that the Monte Carlo
 machinery is validated against, so the implementation favors obvious
@@ -49,6 +49,7 @@ __all__ = [
 MAX_URNS = 10
 ROW_SUM_TOL = 1e-12
 MASS_TOL = 1e-9
+TV_TOL = 1e-10  # Poisson tail left out of a transient distribution
 
 
 class CapacityError(ValueError):
@@ -182,9 +183,10 @@ def _poisson_weights(mu: float, tol: float) -> np.ndarray:
 
 
 def transient_distribution(
-    gen: GeneratorMatrix, p0: np.ndarray, t: float, tol: float = 1e-10
+    gen: GeneratorMatrix, p0: np.ndarray, t: float
 ) -> np.ndarray:
-    """Distribution at time t >= 0 by uniformization, TV-accurate to tol."""
+    """Distribution at time t >= 0 by uniformization, TV-accurate to
+    TV_TOL."""
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (gen.n_states,):
         raise ValueError("p0 has the wrong length")
@@ -196,7 +198,7 @@ def transient_distribution(
     if t == 0.0 or lam == 0.0:
         return p0.copy()
 
-    weights = _poisson_weights(lam * t, tol)
+    weights = _poisson_weights(lam * t, TV_TOL)
     out = weights[0] * p0
     v = p0
     inv = 1.0 / lam

@@ -151,12 +151,6 @@ class TestDeterminism:
 
 
 class TestFieldHelpers:
-    def test_time_index(self):
-        result = run_ensemble(small_ensemble(replicas=2))
-        assert result.time_index(0.5) == 1
-        with pytest.raises(ValueError):
-            result.time_index(0.31)
-
     def test_initial_snapshot_has_no_removed(self):
         result = run_ensemble(small_ensemble(replicas=10))
         assert not np.any(result.states[:, 0, :] == -1)

@@ -116,7 +116,8 @@ class TestDrift:
             s, _ = dense_operators(series, j)
             want = s @ y
             # relative to the largest entry: single entries cancel
-            np.testing.assert_allclose(series.drift(j, y), want, rtol=1e-14,
+            got = series.drift(j, y, np.empty_like(y))
+            np.testing.assert_allclose(got, want, rtol=1e-14,
                                        atol=1e-14 * np.abs(want).max())
 
     @pytest.mark.parametrize("name", KERNELS)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,7 +8,7 @@ from urnsir.fields import Kernel, ScalarField
 from urnsir.graphical import (
     BANKS,
     ClockTable,
-    _reach,
+    _paths,
     coupled_quadruple,
     state_from_clocks,
 )
@@ -151,15 +153,20 @@ class TestClockTable:
 
 
 def reach(tab, root, horizon, blocked=()):
-    """_reach on bank 1 of a table, in 1-based urns."""
-    dist = _reach(lambda v: tab._row(v, 1), tab.spec.N, root - 1, horizon,
-                  {b - 1 for b in blocked})
-    return {v + 1: d for v, d in dist.items()}
+    """{urn: least clock sum} that _paths yields on bank 1, 1-based."""
+    paths = _paths(lambda v: tab._row(v, 1), root - 1, horizon,
+                   blocked={b - 1 for b in blocked})
+    return {v + 1: d for d, v in paths}
 
 
 class TestInfluenceSet:
     # the capped path search that gives coupled_quadruple its influence
     # and blocked sets, traced by hand on chain_table()
+
+    def test_urns_come_in_order_of_least_sum(self):
+        tab = chain_table()
+        paths = _paths(lambda v: tab._row(v, 1), 0, 5.0)
+        assert [v for _, v in paths] == [0, 1, 2]
 
     def test_horizon_cuts_reach(self):
         tab = chain_table()
@@ -298,3 +305,41 @@ class TestCoupling:
             rates.append(fails / reps)
         assert all(b < a for a, b in zip(rates, rates[1:]))
         assert rates[-1] < 0.55 * rates[0]
+
+
+def table_spec16():
+    return ModelSpec(
+        lam=Kernel.table([[1.0, 2.5, 0.5], [3.0, 0.5, 1.5], [2.0, 1.0, 4.0]]),
+        psi=ScalarField.affine(0.6, 0.8),
+        phi=ScalarField.table([0.1, 0.4, 0.2]),
+        N=16,
+        T=1.0,
+    )
+
+
+class TestFrozenConstruction:
+    # sha256 over seeds 0..299 of coupled_quadruple's (states, omega_ok) and
+    # every urn's state_from_clocks at t = 0.7: any change to the clocks,
+    # the path search or the coupling that moves one state or omega moves it
+    DIGEST = "b5775f87301df8842c16ffd62721833b2f4489c8cca777d7bacde66e4c7872c7"
+
+    def test_digest(self):
+        spec = table_spec16()
+        n, t = spec.N, 0.7
+        digest = hashlib.sha256()
+        records = []
+        for seed in range(300):
+            tab = ClockTable(spec=spec, seed=seed)
+            urns = tuple((seed + 5 * k) % n + 1 for k in range(4))
+            quad = coupled_quadruple(tab, urns, t)
+            init = tab.initial_states(1)
+            states = [state_from_clocks(tab, init, m, t) for m in range(1, n + 1)]
+            record = np.array([*quad.states, quad.omega_ok, *states],
+                              dtype=np.int8)
+            digest.update(record.tobytes())
+            records.append(record)
+        records = np.array(records)
+        # the digest covers both omega outcomes and all three states
+        assert set(records[:, 4]) == {0, 1}
+        assert set(records[:, 5:].ravel()) == {-1, 0, 1}
+        assert digest.hexdigest() == self.DIGEST

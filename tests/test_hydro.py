@@ -68,7 +68,6 @@ class TestGridSpec:
     def test_step_rounding(self):
         grid = GridSpec(M=4, dt=0.3, T=1.0)
         assert grid.n_steps() == 3
-        assert grid.step() == pytest.approx(1.0 / 3.0)
 
     def test_zero_horizon(self):
         assert GridSpec(M=4, dt=0.1, T=0.0).n_steps() == 0

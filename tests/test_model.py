@@ -55,13 +55,6 @@ class TestModelSpec:
 
 
 class TestConfiguration:
-    def test_counts_sum_to_n(self):
-        cfg = Configuration(
-            states=np.array([1, 0, -1, 0, 1], dtype=np.int8), time=0.5
-        )
-        s, i, r = cfg.counts()
-        assert (s, i, r) == (2, 2, 1)
-
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):
             Configuration(states=np.array([2, 0], dtype=np.int8), time=0.0)
