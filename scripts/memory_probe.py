@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import json
 import os
 import sys
@@ -73,10 +72,8 @@ def ladder():
     """The density ladder as ``lln_report`` solves it at t = 1."""
     from urnsir import hydro
 
-    kwargs = {}
-    if "store_every" in inspect.signature(hydro._solve_grids).parameters:
-        kwargs["store_every"] = 1000  # times 0 and t only
-    return hydro._solve_grids(hetero(LLN_NS[-1]), LLN_NS, 1e-3, 1.0, **kwargs)
+    return hydro._solve_grids(hetero(LLN_NS[-1]), LLN_NS, 1e-3, 1.0,
+                              store_every=1000)  # times 0 and t only
 
 
 def engine(spec, replicas: int, steps: int = 0):

@@ -62,6 +62,7 @@ from .model import (
 from .streams import (
     CHUNK,
     DOMAIN_SIMULATION,
+    check_replicas,
     derive_rng,
     exponentials,
     replica_words,
@@ -184,7 +185,7 @@ class _Engine:
         self.spec = spec
         self.seed = int(seed)
         one = np.ndim(replicas) == 0
-        self.replicas = np.atleast_1d(np.asarray(replicas, dtype=np.int64))
+        self.replicas = np.atleast_1d(np.asarray(replicas, dtype=np.uint64))
         states = np.asarray(states, dtype=np.int8)
         if (self.replicas.ndim != 1
                 or states.shape != (self.replicas.size, spec.N)):
@@ -287,9 +288,14 @@ class _Engine:
         self._lam0, self._psi0 = lam0, psi0
         # each row's urns in three runs, susceptible, infected, removed
         # (each in urn order at the start), and the sizes of the first two;
-        # int32 urn numbers, copied whole each time a row retires
+        # int32 urn numbers, copied whole each time a row retires, sorted
+        # about CHUNK cells at a time so argsort's int64 result stays small
         group = np.where(states == REMOVED, 2, states)
-        self._perm = np.argsort(group, axis=1, kind="stable").astype(np.int32)
+        self._perm = np.empty(group.shape, dtype=np.int32)
+        step = max(1, CHUNK // self.spec.N)
+        for lo in range(0, len(group), step):
+            self._perm[lo:lo + step] = np.argsort(group[lo:lo + step], axis=1,
+                                                  kind="stable")
         self._counts = np.stack([(group == 0).sum(axis=1),
                                  (group == 1).sum(axis=1)], axis=1) * 1.0
 
@@ -455,7 +461,9 @@ class Simulation:
 
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
-    if times.size and (times[0] < 0.0 or times[-1] > spec.T + 1e-12):
+    # min and max are NaN when any time is, and NaN fails both bounds
+    if times.size and not (0.0 <= times.min()
+                           and times.max() <= spec.T + 1e-12):
         raise ValueError("snapshot times must lie in [0, T]")
     return times
 
@@ -565,7 +573,7 @@ def lockstep_states(spec: ModelSpec, seed: int, replicas,
     times, replica=replicas[q])``.  Memory is O(len(replicas) * N).
     """
     times = _check_snapshot_times(spec, times)
-    replicas = np.asarray(replicas, dtype=np.int64).reshape(-1)
+    replicas = check_replicas(replicas)
     states = initial_states(spec, seed, replicas)
     return _run(_Engine(spec, seed, replicas, states), times)
 

@@ -25,9 +25,10 @@ instead, by min-plus relaxation forward from the initially infected urns.
 The four-urn coupling swaps the clock rows of the earlier urns' influence
 sets for independent replica banks (2..4), which leaves each marginal law
 unchanged while decoupling the four states outside an explicit event
-whose failure probability is O(1/N); the same search, with urns deleted,
-gives the blocked sets that event is read from.  ``coupled_quadruple``
-returns the coupled states and that event's indicator.
+whose failure probability is O(1/N); that event is read from the same
+influence sets, as the absence of short primary clocks between them.
+``coupled_quadruple`` returns the coupled states and that event's
+indicator.
 
 The table of replica r of a seed draws from the streams keyed (seed, r)
 (see :mod:`urnsir.streams`): recovery clocks and initial states of bank b
@@ -57,6 +58,7 @@ from .streams import (
     DOMAIN_INITIAL,
     DOMAIN_PAIR_CLOCKS,
     DOMAIN_RECOVERY_CLOCKS,
+    check_replicas,
     derive_rng,
     exponentials,
     replica_words,
@@ -156,15 +158,14 @@ class ClockTable:
         return row
 
 
-def _paths(row_fn, root: int, horizon: float, k_vec=None, blocked=()):
+def _paths(row_fn, root: int, horizon: float, k_vec=None):
     """(sum, urn) in order of the urn's least clock sum to ``root``.
 
     Dijkstra backwards from the root, which comes first at 0: a link from
     the path urn v to a candidate source w costs U_(v, w), read from
     ``row_fn(v)`` once the urn after v is asked for.  Only sums <= horizon
     are followed; given recovery clocks ``k_vec``, only links with
-    U_(v, w) < K_w; urns in ``blocked`` are deleted from the graph.  All
-    0-based.
+    U_(v, w) < K_w.  All 0-based.
     """
     dist = {root: 0.0}
     heap = [(0.0, root)]
@@ -182,7 +183,7 @@ def _paths(row_fn, root: int, horizon: float, k_vec=None, blocked=()):
             usable &= row < k_vec
         for w in np.nonzero(usable)[0]:
             w = int(w)
-            if w in done or w in blocked:
+            if w in done:
                 continue
             val = float(nd[w])
             if val < dist.get(w, np.inf):
@@ -241,7 +242,7 @@ def clock_states(spec: ModelSpec, seed: int, replicas, t: float) -> np.ndarray:
     if not (np.isfinite(t) and t >= 0.0):
         raise ValueError("t must be finite and >= 0")
     n = spec.N
-    replicas = np.asarray(replicas, dtype=np.int64)
+    replicas = check_replicas(replicas)
     init = initial_states(spec, seed, replicas)
     k_vec = _clocks(
         replica_words(seed, replicas, n, DOMAIN_RECOVERY_CLOCKS, 1),
@@ -288,9 +289,10 @@ def coupled_quadruple(
     banks 2..4) the clock rows, recovery clocks and initial states of every
     urn already explored by the earlier searches, so the four reported
     states are mutually independent by construction.  ``omega_ok`` is the
-    event that no swapped clock could have mattered at horizon T (checked
-    against the primary clocks); on it, all four states equal the uncoupled
-    ones.
+    event that no swapped clock could have mattered at horizon T, read
+    from the influence sets: for each later root, no primary clock <= T
+    runs from the earlier roots' influence sets into its own, or from the
+    root into them.  On it, all four states equal the uncoupled ones.
     """
     spec = clocks.spec
     urns = tuple(int(u) for u in urns)
@@ -304,10 +306,18 @@ def coupled_quadruple(
     k1 = clocks.recovery_clocks(1)
     init1 = clocks.initial_states(1)
 
+    def clear(targets, sources) -> bool:
+        """No primary clock from a source to a target is <= T."""
+        sources = list(sources)
+        return all(clocks._row(v, 1)[sources].min() > spec.T
+                   for v in targets)
+
     # each root's clocks: bank b in place of bank 1 on the urns that the
-    # earlier roots' searches (their influence sets) reach
+    # earlier roots' searches (their influence sets) reach.  The last
+    # root's influence set only feeds omega, so it is searched only while
+    # omega holds.
     explored: set = set()
-    row_fns, states = [], []
+    states, omega = [], True
     for bank, root in zip(BANKS, roots):
         subst = list(explored)
 
@@ -318,27 +328,12 @@ def coupled_quadruple(
         k_vec[subst] = clocks.recovery_clocks(bank)[subst]
         init[subst] = clocks.initial_states(bank)[subst]
         states.append(_state(row_fn, k_vec, init, root, t))
-        row_fns.append(row_fn)
-        if bank != BANKS[-1]:
-            explored.update(v for _, v in _paths(row_fn, root, t))
-
-    def clear(targets, sources) -> bool:
-        """No primary clock from a source to a target is <= T."""
-        sources = list(sources)
-        return all(clocks._row(v, 1)[sources].min() > spec.T
-                   for v in targets)
-
-    # blocked sets: each root's search with the earlier roots' blocked sets
-    # and the later roots deleted; omega needs no clock between them
-    omega = True
-    earlier: set = set()
-    for m, (row_fn, root) in enumerate(zip(row_fns, roots)):
-        blocked = {v for _, v in _paths(row_fn, root, t,
-                                        blocked=earlier.union(roots[m + 1:]))}
-        if earlier:
-            omega = (omega and clear(blocked, earlier)
-                     and clear(earlier, [root]))
-        earlier |= blocked
+        if bank != BANKS[-1] or omega:
+            influence = {v for _, v in _paths(row_fn, root, t)}
+            if explored:
+                omega = (omega and clear(influence, explored)
+                         and clear(explored, [root]))
+            explored |= influence
 
     return CoupledQuadruple(
         urns=urns, t=float(t), states=tuple(states), omega_ok=omega

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Kernel, ScalarField, sites
-from .streams import DOMAIN_INITIAL, derive_rng, replica_words, uniforms
+from .streams import (
+    DOMAIN_INITIAL,
+    check_replicas,
+    derive_rng,
+    replica_words,
+    uniforms,
+)
 
 __all__ = [
     "ModelSpec",
@@ -113,7 +119,7 @@ def initial_states(spec: ModelSpec, seed: int, replicas) -> np.ndarray:
     words are drawn for about _DRAW_CELLS cells at a time, so the 8-byte
     words and uniforms exist for one chunk of rows, not for the batch.
     """
-    replicas = np.asarray(replicas).reshape(-1)
+    replicas = check_replicas(replicas)
     phi = spec.phi_at_sites()
     out = np.empty((replicas.size, spec.N), dtype=np.int8)
     step = max(1, _DRAW_CELLS // spec.N)

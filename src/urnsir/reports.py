@@ -533,6 +533,8 @@ def dynkin_report(
         raise ValueError("alpha must lie in (0, 1]")
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
+    if not (np.isfinite(dt_report) and dt_report > 0.0):
+        raise ValueError("dt_report must be positive")
     spec_t = dc_replace(model, T=float(t))
     n = model.N
     fv = f.at_sites(n)

@@ -40,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "derive_rng",
+    "check_replicas",
     "philox",
     "replica_words",
     "uniforms",
@@ -85,6 +86,23 @@ def _check_component(value: int) -> int:
     if not 0 <= value <= _WORD_MAX:
         raise ValueError("stream key components must lie in [0, 2^64)")
     return int(value)
+
+
+def check_replicas(replicas) -> np.ndarray:
+    """Replica numbers as a flat uint64 array, each checked as
+    :func:`derive_rng` checks one: an integer in [0, 2^64).
+
+    An integer array is checked by its minimum; anything else element by
+    element as Python objects, since numpy would turn a list that mixes
+    negative or 2^63-and-above numbers into floats.
+    """
+    if isinstance(replicas, np.ndarray) and replicas.dtype.kind in "iu":
+        replicas = replicas.reshape(-1)
+        if replicas.dtype.kind == "i" and replicas.size and replicas.min() < 0:
+            raise ValueError("stream key components must lie in [0, 2^64)")
+        return replicas.astype(np.uint64, copy=False)
+    items = np.asarray(replicas, dtype=object).reshape(-1).tolist()
+    return np.array([_check_component(r) for r in items], dtype=np.uint64)
 
 
 def _counter(domain: int, index: tuple) -> list[int]:

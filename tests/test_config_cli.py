@@ -492,6 +492,13 @@ class TestCli:
         ("solve", "[grid]\nM = 0", "M must be"),
         ("simulate", "[ensemble]\nsnapshot_times = 0.5, 2.0",
          "snapshot times"),
+        ("simulate", "[ensemble]\nsnapshot_times = nan", "snapshot times"),
+        ("simulate", "[ensemble]\nsnapshot_times = 0.5, nan",
+         "snapshot times"),
+        ("validate dynkin", "[validate]\ndynkin_dt_report = 0",
+         "dt_report must"),
+        ("validate dynkin", "[validate]\ndynkin_dt_report = -0.01",
+         "dt_report must"),
         ("validate lln", "[validate]\nlln_ns = 10\nlln_t = 0.5",
          "ns must hold"),
         ("validate lln", "[validate]\nlln_ns =\nlln_t = 0.5",

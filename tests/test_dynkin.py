@@ -138,3 +138,10 @@ def test_wrong_compensator_fails_the_qv_check(monkeypatch):
 def test_alpha_validation():
     with pytest.raises(ValueError):
         dynkin_report(CONSTANT, SEED, alpha=0.0)
+
+
+@pytest.mark.parametrize("dt_report", [0.0, -0.01, math.nan, math.inf])
+def test_dt_report_validation(dt_report):
+    # a zero, negative or non-finite step gives no report grid
+    with pytest.raises(ValueError, match="dt_report must be positive"):
+        dynkin_report(CONSTANT, SEED, replicas=4, dt_report=dt_report)

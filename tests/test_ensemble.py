@@ -9,9 +9,15 @@ from urnsir.ensemble import (
     run_ensemble,
 )
 from urnsir.fields import Kernel, ScalarField
-from urnsir.gillespie import snapshot_states
-from urnsir.graphical import ClockTable, state_from_clocks
-from urnsir.model import INFECTED, ModelSpec, SUSCEPTIBLE
+from urnsir.gillespie import lockstep_states, snapshot_states
+from urnsir.graphical import ClockTable, clock_states, state_from_clocks
+from urnsir.model import (
+    INFECTED,
+    ModelSpec,
+    SUSCEPTIBLE,
+    initial_states,
+    sample_initial,
+)
 
 ONE = ScalarField.constant(1.0)
 
@@ -142,6 +148,39 @@ class TestDeterminism:
         for r in range(0, ens.replicas, 5):
             rows = snapshot_states(model, 3, ens.snapshot_times, replica=r)
             np.testing.assert_array_equal(result.states[r], rows)
+
+    @pytest.mark.parametrize("batch", [
+        lambda model, replicas: initial_states(model, 4, replicas),
+        lambda model, replicas: lockstep_states(model, 4, replicas, (0.5,)),
+        lambda model, replicas: clock_states(model, 4, replicas, 0.5),
+    ], ids=["initial_states", "lockstep_states", "clock_states"])
+    def test_batch_paths_check_replica_numbers(self, batch):
+        # replica numbers are stream key words, each checked as derive_rng
+        # checks one before any cast could wrap -1 or truncate 1.7
+        model = flat_spec(n=6)
+        for bad in ([-1], np.array([3, -1]), [2**64], [0, -1, 2**63]):
+            with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+                batch(model, bad)
+        for bad in ([1.7], np.array([1.0]), [True], ["1"]):
+            with pytest.raises(TypeError, match="must be integers"):
+                batch(model, bad)
+        assert batch(model, []).shape[0] == 0
+
+    def test_batch_paths_keep_large_replica_numbers(self):
+        # the top key word next to a small one: a list numpy would hold
+        # as floats
+        model, replicas = flat_spec(n=6), [2**64 - 1, 3]
+        np.testing.assert_array_equal(
+            initial_states(model, 4, replicas),
+            [sample_initial(model, 4, r).states for r in replicas])
+        np.testing.assert_array_equal(
+            lockstep_states(model, 4, replicas, (0.5,)),
+            [snapshot_states(model, 4, (0.5,), replica=r) for r in replicas])
+        tables = [ClockTable(model, 4, replica=r) for r in replicas]
+        np.testing.assert_array_equal(
+            clock_states(model, 4, replicas, 0.5),
+            [[state_from_clocks(c, c.initial_states(1), m, 0.5)
+              for m in range(1, model.N + 1)] for c in tables])
 
     def test_prefix_stability(self):
         # growing the ensemble must not change earlier replicas

@@ -346,6 +346,23 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             simulate(spec, 0, snapshot_times=(1.5,))
 
+    @pytest.mark.parametrize("spec", [
+        uniform_spec(n=6, T=1.0),
+        ModelSpec(lam=Kernel.table([[1.0, 2.0], [0.5, 1.5]]),
+                  psi=ScalarField.constant(1.0),
+                  phi=ScalarField.constant(0.5), N=6, T=1.0),
+    ], ids=["uniform", "general"])
+    def test_nan_snapshot_time_rejected(self, spec):
+        # no event time passes a NaN snapshot time, so its row would never
+        # fill that snapshot or retire
+        for times in ((float("nan"),), (0.5, float("nan"))):
+            with pytest.raises(ValueError, match="snapshot times"):
+                simulate(spec, 0, snapshot_times=times)
+            with pytest.raises(ValueError, match="snapshot times"):
+                snapshot_states(spec, 0, times)
+            with pytest.raises(ValueError, match="snapshot times"):
+                lockstep_states(spec, 0, [0, 1], times)
+
     def test_snapshot_after_absorption_is_final_state(self):
         spec = uniform_spec(n=3, T=100.0)
         traj = simulate(spec, 7, snapshot_times=(100.0,))

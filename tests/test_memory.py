@@ -161,3 +161,24 @@ def test_uniform_engine_memory():
         mb = peak_mb(lambda: _run(_Engine(spec, 7, rows, states),
                                   np.array([0.0, spec.T])))
     assert mb < 7.0
+
+
+def test_uniform_permutation_sorted_in_chunks():
+    # the row chunks give the permutation of one stable argsort of the
+    # batch, removed urns and a short last chunk included
+    spec = constant(50)
+    states = np.random.default_rng(3).integers(-1, 2, size=(700, 50))
+    engine = _Engine(spec, 7, np.arange(700), states)
+    group = np.where(states == REMOVED, 2, states)
+    assert engine._perm.dtype == np.int32
+    np.testing.assert_array_equal(
+        engine._perm, np.argsort(group, axis=1, kind="stable"))
+
+
+def test_uniform_engine_init_memory():
+    # R = 200, N = 2000: 5.2 MB while argsort's int64 result for the whole
+    # batch was held next to the int32 permutation
+    spec = constant(2000)
+    rows = np.arange(200)
+    states = initial_states(spec, 7, rows)
+    assert peak_mb(lambda: _Engine(spec, 7, rows, states)) < 4.0
