@@ -47,6 +47,11 @@ __all__ = [
 BATCH_CELLS = 1 << 19
 
 
+def _check_replica_count(replicas) -> None:
+    if not isinstance(replicas, (int, np.integer)) or replicas < 1:
+        raise ValueError("replicas must be a positive integer")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """What to run: model, replica count, master seed, snapshot times."""
@@ -57,8 +62,7 @@ class EnsembleSpec:
     snapshot_times: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.replicas, (int, np.integer)) or self.replicas < 1:
-            raise ValueError("replicas must be a positive integer")
+        _check_replica_count(self.replicas)
         times = tuple(float(t) for t in self.snapshot_times)
         for t in times:
             if not 0.0 <= t <= self.model.T:

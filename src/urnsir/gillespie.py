@@ -30,15 +30,16 @@ function of the model spec.
 
 One engine steps any number of replicas of (spec, seed) in lockstep, one
 event each per step, in one loop that shows each event to an optional
-visitor (an event log, the Dynkin sums) before applying it.  Replica r's
-draws come from the streams keyed (seed, r) (see :mod:`urnsir.streams`):
-its initial states from the initial-state stream, event s from block
-s + 1 of its simulation stream.  The arithmetic of a row does not depend
-on the other rows, so :func:`simulate` and :func:`snapshot_states`, the
-batch of one, give replica r of an ensemble bit for bit.
-:class:`Simulation` only builds that batch of one (the replica's initial
-configuration and its engine) and has no stepping API: :func:`_run` is
-the one stepping loop.
+visitor (an event log, the Dynkin sums) before applying it; the visitor
+can also read each row's last event time and the pressure factor of the
+proposal from the engine.  Replica r's draws come from the streams keyed
+(seed, r) (see :mod:`urnsir.streams`): its initial states from the
+initial-state stream, event s from block s + 1 of its simulation
+stream.  The arithmetic of a row does not depend on the other rows, so
+:func:`simulate` and :func:`snapshot_states`, the batch of one, give
+replica r of an ensemble bit for bit.  :class:`Simulation` only builds
+that batch of one (the replica's initial configuration and its engine)
+and has no stepping API: :func:`_run` is the one stepping loop.
 """
 
 from __future__ import annotations
@@ -179,6 +180,9 @@ class _Engine:
     its own numpy Philox, a batch through
     :func:`urnsir.streams.replica_words`, the words of many events per call
     either way; both give the same words.
+
+    ``time`` holds each row's last event time and ``c`` its pressure factor
+    at the last proposal, infected @ right (n_inf at constant rates).
     """
 
     def __init__(self, spec: ModelSpec, seed: int, replicas, states):
@@ -317,6 +321,7 @@ class _Engine:
         total_rec = self._psi0 * n_inf
         pressure = self._lam0 * n_inf / self.spec.N
         total = total_rec + pressure * n_sus
+        self.c = self._counts[self._view, 1:]
         u = uni.T[0] * total
         recovery = u < total_rec
         # a recovery takes the k-th infected urn, k = u / psi, an infection
@@ -387,7 +392,7 @@ class _Engine:
         # pressure = left @ (inf @ right) / N row by row: einsum sums each
         # row's products in the same order whatever the batch, where a BLAS
         # call would round after the batch shape
-        c = np.einsum("...n,an->...a", inf, self._right_t)
+        self.c = c = np.einsum("...n,an->...a", inf, self._right_t)
         rates = np.einsum("...a,an->...n", c, self._left_t)
         rates *= self._sus[self._view]
         rates += self._psi_sites * inf
@@ -407,6 +412,7 @@ class _Engine:
         coef = self._coef[view]
         coef[..., :-1] = np.einsum("...n,an->...a", self._inf[view],
                                    self._right_t)
+        self.c = coef[..., :-1]
         # block b's rate coef . sums[b] holds the positions
         # [cum[b], cum[b + 1]) of the running sum over all urns
         block_rates = np.einsum("...k,...bk->...b", coef, self._sums[view])
@@ -468,16 +474,35 @@ def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
     return times
 
 
+def _passed(times: np.ndarray, horizon: float, time) -> np.ndarray:
+    """Per row, how many snapshot times lie before its event at ``time``,
+    by the one snapshot rule: a snapshot at tau shows every event with
+    time <= tau and none after the horizon."""
+    return np.where(time > horizon, times.size,
+                    np.searchsorted(times, time, side="left"))
+
+
+def _fills(k: np.ndarray, j: np.ndarray):
+    """Snapshots k .. j - 1 of each row: pair p is snapshot ``q[p]`` of
+    row ``rows[each[p]]``, row by row."""
+    rows = np.flatnonzero(j > k)
+    fills = j[rows] - k[rows]
+    each = np.repeat(np.arange(rows.size), fills)
+    q = np.arange(each.size) - (np.cumsum(fills) - fills - k[rows])[each]
+    return rows, each, q
+
+
 def _run(engine: _Engine, times: np.ndarray, visit=None) -> np.ndarray:
     """Step a batch in lockstep; its (R, len(times), N) states at ``times``.
 
-    The one snapshot rule: a snapshot at tau shows every event with time
-    <= tau.  A row retires once its next event falls after T (or it is
-    absorbed) or its last snapshot is filled; the batch shrinks to the
-    rows left.  ``visit(live, time, urn, recovery, u)`` sees every proposed
-    event before it is applied, the retiring one included: ``live`` holds
-    the output rows still stepping and the other arguments are those of
-    :meth:`_Engine.propose`.
+    Snapshots follow the one snapshot rule of :func:`_passed`.  A row
+    retires once its next event falls after T (or it is absorbed) or its
+    last snapshot is filled; the batch shrinks to the rows left.
+    ``visit(live, time, urn, recovery, u)`` sees every proposed event
+    before it is applied, the retiring one included: ``live`` holds the
+    output rows still stepping, the other arguments are those of
+    :meth:`_Engine.propose`, and the engine's ``time`` and ``c`` are still
+    those of the state before the event.
     """
     horizon = engine.spec.T
     n_rows, n = engine.replicas.size, engine.spec.N
@@ -494,15 +519,8 @@ def _run(engine: _Engine, times: np.ndarray, visit=None) -> np.ndarray:
             filled = (time > mark).any()
             if filled:
                 # at least k: a batch of one proposes a scalar time
-                j = np.maximum(k, np.where(
-                    time > horizon, times.size,
-                    np.searchsorted(times, time, side="left")))
-                rows = np.flatnonzero(j > k)
-                # row rows[i] fills snapshots k .. j - 1 with its state now
-                fills = j[rows] - k[rows]
-                each = np.repeat(np.arange(rows.size), fills)
-                first = np.cumsum(fills) - fills
-                q = np.arange(each.size) - first[each] + k[rows][each]
+                j = np.maximum(k, _passed(times, horizon, time))
+                rows, each, q = _fills(k, j)
                 out[live[rows][each], q] = engine.states_of(rows)[each]
                 k = j
             if visit is not None:

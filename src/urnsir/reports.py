@@ -18,7 +18,8 @@ Statistical conventions used throughout:
     oracle; ``validate lln`` and the construction report load none;
   - thresholds are keyword arguments with the documented defaults, so a
     failed check is always an explicit exit-code-3 event, never a silent
-    relaxation.
+    relaxation; a threshold that would decide every check alike (NaN,
+    negative) raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ import csv
 
 import numpy as np
 
-from .ensemble import EnsembleSpec, _batches, run_clock_ensemble, run_ensemble
+from .ensemble import (
+    EnsembleSpec,
+    _batches,
+    _check_replica_count,
+    run_clock_ensemble,
+    run_ensemble,
+)
 from .fields import ScalarField, TestFunction
 # evolve_covariance, pair_covariance, solve_density and simulate are not
 # called here; the benchmark's traced run wraps these names
@@ -40,7 +47,7 @@ from .fluctuation import (  # noqa: F401
     evolve_covariance,
     pair_covariance,
 )
-from .gillespie import _Engine, _run, simulate  # noqa: F401
+from .gillespie import _Engine, _fills, _passed, _run, simulate  # noqa: F401
 from .hydro import _solve_grids, solve_density  # noqa: F401
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec, initial_states
 from .oracle import (
@@ -104,6 +111,13 @@ def write_report_csv(report: Report, path) -> None:
             )
 
 
+def _require_positive(name: str, value: float) -> None:
+    # a NaN, zero, negative or infinite tolerance decides every check alike,
+    # and such a grid step gives no grid
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive")
+
+
 def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     fn = getattr(np, "trapezoid", None) or np.trapz
     return float(fn(y, x))
@@ -135,6 +149,7 @@ def lln_report(
         raise ValueError("t must lie in (0, T]")
     if len(set(ns)) < 2:  # a slope needs two rungs
         raise ValueError("ns must hold at least two distinct N")
+    _require_positive("slope_tol", slope_tol)
     records: list[ReportRecord] = []
     lines: list[str] = []
     rms = []
@@ -373,6 +388,9 @@ def clt_report(
         raise ValueError("t must lie in (0, T]")
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
+    _require_positive("rel_tol", rel_tol)
+    if not 0.0 <= ks_threshold < 1.0:
+        raise ValueError("ks_threshold must lie in [0, 1)")
     n = model.N
     theory = adjoint_pair_covariance(PanelSeries(model, m_grid, dt, t), f, g)
     var_eta_th, cov_th, var_beta_th = (
@@ -459,15 +477,14 @@ def _dynkin_batches(model: ModelSpec, seed: int, replicas: int,
 
     raw: (1/sqrt N) f.S at times 0 and T.  acc: the exact event-time
     integrals of (1/sqrt N) f.S p (generator term) and (1/N) f^2.S p
-    (quadratic variation), p = left @ (inf @ right) / N the pressure.  Each
-    row keeps c = inf @ right and F_k = (f^k S) @ left as r-vectors, one
-    factor row per event, and f^k.S p = F_k.c / N.  grid_sum: the replica
-    sum of (1/sqrt N) f.S p at each grid time, from the grid snapshots.
+    (quadratic variation), p = left @ c / N the pressure; c and the time
+    of the last event are the engine's.  Each row keeps F_k = (f^k S) @
+    left as r-vectors, and f^k.S p = F_k.c / N.  grid_sum: the replica sum
+    of (1/sqrt N) f.S p at each grid time, added by the events that pass it.
     """
     n = model.N
     left, right = model.lam.factors(n)
     powers = fv[:, None] ** np.arange(1, 3)  # (N, 2): f, f^2
-    f_left = powers[:, :, None] * left[:, None, :]  # (N, 2, r)
     scale = np.array([1.0 / (n * math.sqrt(n)), 1.0 / n**2])
     raw = np.empty((replicas, 2))
     acc = np.zeros((replicas, 2))
@@ -475,28 +492,27 @@ def _dynkin_batches(model: ModelSpec, seed: int, replicas: int,
     t = model.T
     for lo, rows in _batches(replicas, n):
         states = initial_states(model, seed, rows)
-        c = (states == INFECTED) @ right
+        engine = _Engine(model, seed, rows, states)
+        # the constant-rate engine's c is n_inf: pair it with lambda(., 1/N)
+        paired = left @ right[:1].T if engine.uniform else left
+        f_left = powers[:, :, None] * paired[:, None, :]  # (N, 2, r)
         big_f = np.einsum("bn,nka->bka", states == SUSCEPTIBLE, f_left)
-        cur = np.zeros(rows.size)
-        part = acc[lo:lo + rows.size]
 
         def visit(live, time, urn, recovery, u):
-            dur = np.minimum(time, t) - cur[live]
-            rate = np.einsum("bka,ba->bk", big_f[live], c[live])
-            part[live] += dur[:, None] * rate * scale
-            # an infection adds the urn to inf and takes it out of S, a
-            # recovery takes it out of inf
-            c[live] += np.where(recovery, -1.0, 1.0)[:, None] * right[urn]
+            rate = np.einsum("bka,ba->bk", big_f[live], engine.c)
+            dur = np.minimum(time, t) - engine.time
+            acc[lo + live] += dur[:, None] * rate * scale
+            # the state before the event is the one at the grid times
+            # from the last event on
+            at, each, q = _fills(_passed(grid, t, engine.time),
+                                 _passed(grid, t, time))
+            grid_sum[:] += np.bincount(q, rate[at, 0][each], grid.size)
+            # an infection takes the urn out of S
             big_f[live] -= (~recovery)[:, None, None] * f_left[urn]
-            cur[live] = time
 
-        snaps = _run(_Engine(model, seed, rows, states), grid, visit)
-        raw[lo:lo + rows.size] = (snaps[:, [0, -1]] == SUSCEPTIBLE) @ fv
-        for k in range(grid.size):
-            c_k = (snaps[:, k] == INFECTED) @ right
-            f_k = (snaps[:, k] == SUSCEPTIBLE) @ f_left[:, 0]
-            grid_sum[k] += float((f_k * c_k).sum()) / n
-    return raw / math.sqrt(n), acc, grid_sum / math.sqrt(n)
+        ends = np.stack([states, _run(engine, np.array([t]), visit)[:, 0]], 1)
+        raw[lo:lo + rows.size] = (ends == SUSCEPTIBLE) @ fv
+    return raw / math.sqrt(n), acc, grid_sum / (n * math.sqrt(n))
 
 
 def dynkin_report(
@@ -531,10 +547,10 @@ def dynkin_report(
         raise ValueError("t must lie in (0, T]")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    _check_replica_count(replicas)
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
-    if not (np.isfinite(dt_report) and dt_report > 0.0):
-        raise ValueError("dt_report must be positive")
+    _require_positive("dt_report", dt_report)
     spec_t = dc_replace(model, T=float(t))
     n = model.N
     fv = f.at_sites(n)

@@ -499,6 +499,14 @@ class TestCli:
          "dt_report must"),
         ("validate dynkin", "[validate]\ndynkin_dt_report = -0.01",
          "dt_report must"),
+        ("validate lln", "[validate]\nlln_slope_tol = nan\nlln_t = 0.5",
+         "slope_tol must"),
+        ("validate lln", "[validate]\nlln_slope_tol = -0.2\nlln_t = 0.5",
+         "slope_tol must"),
+        ("validate clt", "[validate]\nclt_rel_tol = nan", "rel_tol must"),
+        ("validate clt", "[validate]\nclt_rel_tol = -0.1", "rel_tol must"),
+        ("validate clt", "[validate]\nclt_ks_p = nan", "ks_threshold must"),
+        ("validate clt", "[validate]\nclt_ks_p = -0.01", "ks_threshold must"),
         ("validate lln", "[validate]\nlln_ns = 10\nlln_t = 0.5",
          "ns must hold"),
         ("validate lln", "[validate]\nlln_ns =\nlln_t = 0.5",

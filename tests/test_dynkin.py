@@ -2,12 +2,14 @@
 
 ``reference_sums`` replays ``simulate(...).events`` one replica at a time,
 recomputing the infection pressure from the kernel factors after every
-event.  The report steps replicas in lockstep batches and keeps the
-pressure as r-vectors; the draws are the same, so the two differ only in
-summation order.
+event, and reads the grid sums from snapshots.  The report steps replicas
+in lockstep batches, reads each event's pressure factor and last event
+time from the engine, and adds the grid sums as the events pass the grid
+times; the draws are the same, so the two differ only in rounding.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +39,22 @@ TABLE = ModelSpec(
     N=50,
     T=1.0,
 )
+# a kernel of one value in other forms: the constant-rate engine runs them,
+# and its pressure factor is the infected count, not infected @ right
+SEPARABLE = replace(CONSTANT, lam=Kernel.separable(ScalarField.constant(2.0),
+                                                   ScalarField.constant(0.75)))
+FLAT = replace(CONSTANT, lam=Kernel.table([[1.5, 1.5], [1.5, 1.5]]))
+# 24 of 30 rows have no infected urn left by t = 0.5: their retiring
+# time-inf proposals pass the later grid times
+ABSORBING = ModelSpec(
+    lam=Kernel.table([[0.3, 0.6], [0.5, 0.9]]),
+    psi=ScalarField.affine(3.0, 2.0),
+    phi=ScalarField.constant(0.1),
+    N=20,
+    T=1.0,
+)
+MODELS = [CONSTANT, TABLE, SEPARABLE, FLAT, ABSORBING]
+MODEL_IDS = ["constant", "table", "separable", "flat", "absorbing"]
 F = ScalarField.affine(0.5, 1.0)
 
 
@@ -91,7 +109,7 @@ def assert_records_close(got, want):
             assert abs(g.bound - w.bound) <= TOL * scale, g.statistic
 
 
-@pytest.mark.parametrize("model", [CONSTANT, TABLE], ids=["constant", "table"])
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_batched_sums_match_per_replica_walk(model):
     fv = F.at_sites(model.N)
     grid = grid_for(model)
@@ -101,7 +119,7 @@ def test_batched_sums_match_per_replica_walk(model):
         np.testing.assert_allclose(g, w, rtol=TOL, atol=TOL * np.abs(w).max())
 
 
-@pytest.mark.parametrize("model", [CONSTANT, TABLE], ids=["constant", "table"])
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
 def test_report_records_match_per_replica_walk(model, monkeypatch):
     got = dynkin_report(model, SEED, f=F, t=1.0, replicas=40,
                         dt_report=0.05)
@@ -133,6 +151,12 @@ def test_wrong_compensator_fails_the_qv_check(monkeypatch):
     by_name = {r.statistic: r for r in rep.records}
     assert abs(by_name["qv_z"].value) > by_name["qv_z"].bound
     assert not rep.passed
+
+
+def test_replicas_validation():
+    # EnsembleSpec's check, not a TypeError from deep in the batches
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        dynkin_report(CONSTANT, SEED, replicas=2.5)
 
 
 def test_alpha_validation():

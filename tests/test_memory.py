@@ -21,6 +21,7 @@ from urnsir.model import (
     ModelSpec,
     initial_states,
 )
+from urnsir.reports import dynkin_report
 from urnsir.streams import DOMAIN_INITIAL, replica_words, uniforms
 
 TABLE = [[0.5, 1.0, 1.5], [1.2, 2.0, 2.4], [1.4, 2.6, 3.0]]
@@ -182,3 +183,12 @@ def test_uniform_engine_init_memory():
     rows = np.arange(200)
     states = initial_states(spec, 7, rows)
     assert peak_mb(lambda: _Engine(spec, 7, rows, states)) < 4.0
+
+
+def test_dynkin_report_memory():
+    # N = 1000, R = 40 as the benchmark runs it: 8.39 MB while the report
+    # asked the stepping loop for its 101 grid snapshots; the first call
+    # fills the memo caches and imports scipy.special
+    spec = hetero(1000)
+    dynkin_report(spec, 7, replicas=40)
+    assert peak_mb(lambda: dynkin_report(spec, 7, replicas=40)) < 5.0
