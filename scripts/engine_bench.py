@@ -12,7 +12,8 @@ script.  Table mode times propose + apply of ``_Engine`` on R rows whose
 urns are 30 % infected and 70 % susceptible, min(STEPS, N / 2) steps per
 repeat so that no row is absorbed (the median of REPEATS repeats), at
 each N and R, and a single trajectory (``simulate``) at N = 4, 400, 1000
-and 4000.  Sweep mode times the same steps with one block
+and 4000, and one of the constant-rate model (flat lambda and psi, the
+O(1) engine) at N = 500.  Sweep mode times the same steps with one block
 and with blocks of each given size, to place the crossover of the block
 rule; it needs a tree that has ``gillespie.block_size``.  Streams mode
 times ``replica_words`` through each of its two evaluators, numpy's Philox
@@ -47,6 +48,14 @@ def model(n: int, t: float = 1.0):
     return ModelSpec(lam=Kernel.table(TABLE),
                      psi=ScalarField.affine(0.5, 1.0),
                      phi=ScalarField.affine(0.1, 0.4), N=n, T=t)
+
+
+def flat(n: int, t: float = 1.0):
+    from urnsir.fields import Kernel, ScalarField
+    from urnsir.model import ModelSpec
+
+    return ModelSpec(lam=Kernel.constant(2.0), psi=ScalarField.constant(1.0),
+                     phi=ScalarField.constant(0.1), N=n, T=t)
 
 
 def rows(n: int, r: int, seed: int = 0):
@@ -92,15 +101,16 @@ def us_per_step(n: int, r: int) -> dict:
                                  .reshape(urns.shape)).sum() % 1_000_003)}
 
 
-def single_trajectory(n: int, seeds=(1, 2, 3)) -> dict:
-    """Median over seeds of process time per event of ``simulate`` to T = 2.
+def single_trajectory(n: int, seeds=(1, 2, 3), make=model) -> dict:
+    """Median over seeds of process time per event of ``simulate`` to T = 2,
+    on the model that ``make`` builds (the table model by default).
 
     Seeds whose trajectory has no event (none infected at N = 4) are run
     but left out of the median.
     """
     from urnsir.gillespie import simulate
 
-    spec = model(n, t=2.0)
+    spec = make(n, t=2.0)
     per_event, events = [], []
     for seed in seeds:
         t0 = time.process_time()
@@ -109,8 +119,8 @@ def single_trajectory(n: int, seeds=(1, 2, 3)) -> dict:
         if traj.events.size:
             per_event.append(took / traj.events.size * 1e6)
         events.append(int(traj.events.size))
-    return {"N": n, "seeds": list(seeds), "events": events,
-            "us_per_event": statistics.median(per_event)}
+    return {"model": make.__name__, "N": n, "seeds": list(seeds),
+            "events": events, "us_per_event": statistics.median(per_event)}
 
 
 def stream_paths(counts, lengths) -> list[dict]:
@@ -197,8 +207,9 @@ def main() -> int:
         result = {"table": table, "single": []}
         result["single"].append(single_trajectory(4, seeds=range(1, 201)))
         print(json.dumps(result["single"][-1]), flush=True)
-        for n in (400, 1000, 4000):
-            result["single"].append(single_trajectory(n))
+        for n, make in ((400, model), (1000, model), (4000, model),
+                        (500, flat)):
+            result["single"].append(single_trajectory(n, make=make))
             print(json.dumps(result["single"][-1]), flush=True)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)

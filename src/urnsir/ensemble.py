@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import TestFunction
-from .gillespie import lockstep_states, snapshot_states
+from .gillespie import _check_snapshot_times, lockstep_states, snapshot_states
 from .graphical import clock_states, state_from_clocks
 from .model import INFECTED, SUSCEPTIBLE, ModelSpec
 
@@ -48,13 +48,15 @@ BATCH_CELLS = 1 << 19
 
 
 def _check_replica_count(replicas) -> None:
-    if not isinstance(replicas, (int, np.integer)) or replicas < 1:
+    if (not isinstance(replicas, (int, np.integer))
+            or isinstance(replicas, bool) or replicas < 1):
         raise ValueError("replicas must be a positive integer")
 
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """What to run: model, replica count, master seed, snapshot times."""
+    """What to run: model, replica count, master seed, snapshot times
+    (by :func:`snapshot_states`'s rule: in [0, T] and nondecreasing)."""
 
     model: ModelSpec
     replicas: int
@@ -63,13 +65,8 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         _check_replica_count(self.replicas)
-        times = tuple(float(t) for t in self.snapshot_times)
-        for t in times:
-            if not 0.0 <= t <= self.model.T:
-                raise ValueError(f"snapshot time {t} outside [0, T]")
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be nondecreasing")
-        object.__setattr__(self, "snapshot_times", times)
+        times = _check_snapshot_times(self.model, self.snapshot_times)
+        object.__setattr__(self, "snapshot_times", tuple(times.tolist()))
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,13 @@ can also read each row's last event time and the pressure factor of the
 proposal from the engine.  Replica r's draws come from the streams keyed
 (seed, r) (see :mod:`urnsir.streams`): its initial states from the
 initial-state stream, event s from block s + 1 of its simulation
-stream.  The arithmetic of a row does not depend on the other rows, so
+stream, read through :func:`urnsir.streams.replica_words` for every
+batch.  The arithmetic of a row does not depend on the other rows, so
 :func:`simulate` and :func:`snapshot_states`, the batch of one, give
-replica r of an ensemble bit for bit.  :class:`Simulation` only builds
-that batch of one (the replica's initial configuration and its engine)
-and has no stepping API: :func:`_run` is the one stepping loop.
+replica r of an ensemble bit for bit; all three take the same snapshot
+times, finite, in [0, T] and nondecreasing.  :class:`Simulation` only
+builds that batch of one (the replica's initial configuration and its
+engine) and has no stepping API: :func:`_run` is the one stepping loop.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ from .streams import (
     CHUNK,
     DOMAIN_SIMULATION,
     check_replicas,
-    derive_rng,
     exponentials,
     replica_words,
     uniforms,
 )
+# derive_rng is not called here; the benchmark's traced run wraps this name
+from .streams import derive_rng  # noqa: F401
 
 __all__ = [
     "RECOVERY",
@@ -176,10 +179,9 @@ class _Engine:
     Every row advances one event per step, so all rows sit at the same
     event count, and step s reads block s + 1 of each row's simulation
     stream: the holding time from word 0, the target from word 1 and the
-    infection source from word 2.  One replica reads its stream through
-    its own numpy Philox, a batch through
-    :func:`urnsir.streams.replica_words`, the words of many events per call
-    either way; both give the same words.
+    infection source from word 2.  Every batch, the batch of one
+    included, reads its streams through :func:`urnsir.streams.replica_words`,
+    the words of many events per call.
 
     ``time`` holds each row's last event time and ``c`` its pressure factor
     at the last proposal, infected @ right (n_inf at constant rates).
@@ -195,17 +197,11 @@ class _Engine:
                 or states.shape != (self.replicas.size, spec.N)):
             raise ValueError("need one state row per replica")
         self.steps = 0
-        self._rng = None
         if one:
             # numpy scalars, not (1,) rows: fancy indexing with (1,) arrays
             # costs more than scalar indexing (a table model at N = 400
             # went from 32 to 51-98 us per event)
             self._view = self._ix = 0
-            # its own generator, not replica_words: that call's checks and
-            # re-keying made single trajectories at N = 4 about 3 % slower
-            # per event (BENCH_23.json)
-            self._rng = derive_rng(seed, DOMAIN_SIMULATION,
-                                   replica=int(self.replicas[0]))
         else:
             self._view = slice(None)
             self._ix = np.arange(self.replicas.size)
@@ -233,14 +229,10 @@ class _Engine:
             # no replica makes more than 2N events, plus one past T
             blocks = max(1, min(CHUNK // self.replicas.size,
                                 2 * self.spec.N + 1 - self.steps))
-            if self._rng is not None:
-                words = self._rng.bit_generator.random_raw(4 * blocks)
-            else:
-                words = replica_words(
-                    self.seed, self.replicas, 4 * blocks, DOMAIN_SIMULATION,
-                    first_block=self.steps + 1,
-                )
-            words = words.reshape(self.replicas.size, blocks, 4)
+            words = replica_words(
+                self.seed, self.replicas, 4 * blocks, DOMAIN_SIMULATION,
+                first_block=self.steps + 1,
+            ).reshape(self.replicas.size, blocks, 4)
             self._exp = exponentials(words[..., 0])
             self._uni = uniforms(words[..., 1:])
             self._pos, self._size = 0, blocks
@@ -466,12 +458,15 @@ class Simulation:
 
 
 def _check_snapshot_times(spec: ModelSpec, snapshot_times) -> np.ndarray:
-    times = np.asarray(sorted(float(t) for t in snapshot_times), dtype=float)
-    # min and max are NaN when any time is, and NaN fails both bounds
-    if times.size and not (0.0 <= times.min()
-                           and times.max() <= spec.T + 1e-12):
+    """Snapshot times as a float array: finite, in [0, T] (up to 1e-12
+    past T) and nondecreasing, the rule of every batch and ensemble."""
+    times = [float(t) for t in snapshot_times]
+    # NaN fails both bounds
+    if not all(0.0 <= t <= spec.T + 1e-12 for t in times):
         raise ValueError("snapshot times must lie in [0, T]")
-    return times
+    if times != sorted(times):
+        raise ValueError("snapshot times must be nondecreasing")
+    return np.array(times, dtype=float)
 
 
 def _passed(times: np.ndarray, horizon: float, time) -> np.ndarray:

@@ -21,8 +21,9 @@ each block, so :func:`derive_rng` starts it at counter (0, domain, i, j).
 :func:`philox` evaluates the block function in numpy for many keys and
 counters at once; it works through at most ``CHUNK`` counters at a time,
 which bounds its temporaries.  :func:`replica_words`, the one stream of
-many replicas, takes numpy's Philox, re-keyed for each replica, when the
-streams are long (``NATIVE_BLOCKS`` blocks or more) or few (at most
+many replicas or of one, takes numpy's Philox, built at the first
+replica's key and re-keyed for each further one, when the streams are
+long (``NATIVE_BLOCKS`` blocks or more) or few (at most
 ``NATIVE_STREAMS``), and the vectorised evaluator for many short streams,
 where numpy's fixed cost per stream outweighs the vectorised cost per
 block (``scripts/engine_bench.py --streams`` places the crossover).
@@ -204,9 +205,10 @@ def replica_words(seed: int, replicas, n_words: int, domain: int,
 
     Row q holds the words of stream (seed, replicas[q], domain, *index)
     from block ``first_block`` on: for first_block = 1 the same words as
-    ``derive_rng(seed, domain, *index, replica=replicas[q])`` gives.  Long
-    or few streams are read from numpy's Philox, many short ones evaluated
-    together, about ``CHUNK`` counters at a time; both give the same words.
+    ``derive_rng(seed, domain, *index, replica=replicas[q])`` gives.  One
+    replica is the batch of one, a single row.  Long or few streams are
+    read from numpy's Philox, many short ones evaluated together, about
+    ``CHUNK`` counters at a time; both give the same words.
     """
     if n_words < 0:
         raise ValueError("n_words must be >= 0")
@@ -216,8 +218,8 @@ def replica_words(seed: int, replicas, n_words: int, domain: int,
     seed = _check_component(seed)
     ctr = np.array(_counter(domain, index), dtype=np.uint64)
     n_blocks = -(-n_words // 4)
-    if n_blocks == 0:
-        return np.empty((replicas.size, 0), dtype=np.uint64)
+    if n_blocks == 0 or replicas.size == 0:
+        return np.empty((replicas.size, n_words), dtype=np.uint64)
     if n_blocks >= NATIVE_BLOCKS or replicas.size <= NATIVE_STREAMS:
         return _native_words(seed, replicas, n_words, ctr, first_block)
     return _vector_words(seed, replicas, n_words, ctr, first_block)
@@ -227,24 +229,28 @@ def _native_words(seed: int, replicas: np.ndarray, n_words: int,
                   ctr: np.ndarray, first_block: int) -> np.ndarray:
     """:func:`replica_words` from one numpy Philox, re-keyed per replica.
 
-    Each row sets the key (seed, replica) and the counter first_block - 1
-    through the ``state`` setter, with the word buffer empty, and reads
-    ``n_words`` words.
+    The Philox starts at the first row's key (seed, replica) and the
+    counter first_block - 1; each later row sets its key and that counter
+    through the ``state`` setter, with the word buffer empty.  Every row
+    reads ``n_words`` words.
     """
-    key = np.array([seed, 0], dtype=np.uint64)
+    key = np.array([seed, replicas[0]], dtype=np.uint64)
     ctr = ctr.copy()
     ctr[0] = first_block - 1
     bits = np.random.Philox(key=key, counter=ctr)
-    # the state of a fresh generator at each key: buffer_pos 4 marks the
-    # word buffer empty, so the next word starts block first_block
-    state = {"bit_generator": "Philox", "state": {"counter": ctr, "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
     out = np.empty((replicas.size, n_words), dtype=np.uint64)
-    for q, replica in enumerate(replicas.tolist()):
-        key[1] = replica
-        bits.state = state
-        out[q] = bits.random_raw(n_words)
+    out[0] = bits.random_raw(n_words)
+    if replicas.size > 1:
+        # the state of a fresh generator at each key: buffer_pos 4 marks
+        # the word buffer empty, so the next word starts block first_block
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": ctr, "key": key},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for q, replica in enumerate(replicas[1:].tolist(), 1):
+            key[1] = replica
+            bits.state = state
+            out[q] = bits.random_raw(n_words)
     return out
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,9 +54,10 @@ def small_ensemble(replicas=40, times=(0.0, 0.5, 1.0), seed=5, model=None):
 
 
 class TestSpecValidation:
-    def test_replica_count(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(model=flat_spec(), replicas=0, master_seed=1)
+    @pytest.mark.parametrize("replicas", [0, True, 2.5])
+    def test_replica_count(self, replicas):
+        with pytest.raises(ValueError, match="positive integer"):
+            EnsembleSpec(model=flat_spec(), replicas=replicas, master_seed=1)
 
     def test_snapshot_time_range(self):
         with pytest.raises(ValueError):
@@ -71,6 +74,25 @@ class TestSpecValidation:
                 master_seed=1,
                 snapshot_times=(0.5, 0.2),
             )
+
+    @pytest.mark.parametrize("times", [
+        (1.5, 0.1), (0.5, float("nan")), (-0.1,), (1.0 + 1e-13,),
+        (0.0, 0.0, 1.0),
+    ])
+    def test_snapshot_times_follow_the_single_trajectory_rule(self, times):
+        # an ensemble takes the times that its replicas' snapshot_states
+        # takes, and refuses the others with the same message
+        model = flat_spec(T=1.0)
+        try:
+            snapshot_states(model, 1, times)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                EnsembleSpec(model=model, replicas=1, master_seed=1,
+                             snapshot_times=times)
+        else:
+            ens = EnsembleSpec(model=model, replicas=1, master_seed=1,
+                               snapshot_times=times)
+            assert ens.snapshot_times == times
 
     def test_result_shape_checked(self):
         ens = small_ensemble(replicas=3)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -19,7 +20,7 @@ from urnsir.gillespie import (
 )
 from urnsir import gillespie
 from urnsir.gillespie import _Engine, lockstep_states
-from urnsir.streams import exponentials
+from urnsir.streams import DOMAIN_SIMULATION, exponentials, replica_words
 from urnsir.model import (
     Configuration,
     INFECTED,
@@ -228,6 +229,38 @@ class TestEngines:
             rows = lockstep_states(spec, 3, [0, 1, 2], (1e-12,))
             np.testing.assert_array_equal(rows[0], replay(traj, (1e-12,)))
 
+    @pytest.mark.parametrize("spec, digest", [
+        (uniform_spec(), "34a7dfd50f555331"),
+        (general_spec(), "98efe37389f38915"),
+    ], ids=["uniform", "general"])
+    def test_batch_of_one_draws_without_derive_rng(self, spec, digest,
+                                                   monkeypatch):
+        # frozen digests of replica 3's events and rows as read from the
+        # derive_rng generator of its stream: the batch of one reads the
+        # same words through replica_words
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine has no generator of its own")
+
+        monkeypatch.setattr(gillespie, "derive_rng", refuse)
+        traj = simulate(spec, 21, snapshot_times=(0.5, 2.0), replica=3)
+        rows = snapshot_states(spec, 21, (0.5, 2.0), replica=3)
+        blob = b"".join(a.tobytes() for a in (traj.events, traj.snapshots,
+                                               rows))
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
+
+    def test_batch_of_one_reads_replica_words(self, monkeypatch):
+        calls = []
+
+        def spy(seed, replicas, n_words, domain, *index, first_block=1):
+            calls.append((replicas.tolist(), domain, first_block))
+            return replica_words(seed, replicas, n_words, domain, *index,
+                                 first_block=first_block)
+
+        monkeypatch.setattr(gillespie, "replica_words", spy)
+        simulate(general_spec(), 21, replica=3)
+        # 2N + 1 blocks, every event's words in one call
+        assert calls == [([3], DOMAIN_SIMULATION, 1)]
+
     def test_absorption_stops_iteration(self):
         # the horizon is never reached: the run ends because the last
         # infected urn recovers and no event is left
@@ -362,6 +395,19 @@ class TestSnapshots:
                 snapshot_states(spec, 0, times)
             with pytest.raises(ValueError, match="snapshot times"):
                 lockstep_states(spec, 0, [0, 1], times)
+
+    @pytest.mark.parametrize("spec", [uniform_spec(), general_spec()],
+                             ids=["uniform", "general"])
+    def test_decreasing_snapshot_times_rejected(self, spec):
+        # rows are filled in time order, so they could not follow the times
+        times = (1.5, 0.1)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            simulate(spec, 3, snapshot_times=times)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            snapshot_states(spec, 3, times)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            lockstep_states(spec, 3, [0, 1], times)
+        assert snapshot_states(spec, 3, (0.1, 0.1, 1.5)).shape == (3, spec.N)
 
     def test_snapshot_after_absorption_is_final_state(self):
         spec = uniform_spec(n=3, T=100.0)
