@@ -11,9 +11,13 @@
 script.  Table mode times propose + apply of ``_Engine`` on R rows whose
 urns are 30 % infected and 70 % susceptible, min(STEPS, N / 2) steps per
 repeat so that no row is absorbed (the median of REPEATS repeats), at
-each N and R, and a single trajectory (``simulate``) at N = 4, 400, 1000
+each N and R; a single trajectory (``simulate``) at N = 4, 400, 1000
 and 4000, and one of the constant-rate model (flat lambda and psi, the
-O(1) engine) at N = 500.  Sweep mode times the same steps with one block
+O(1) engine) at N = 500, each seed run REPEATS times after one untimed
+run; and the single-replica draws: ``sample_initial`` at N = 4, and
+``coupled_quadruple`` on fresh clock tables of the coupling's baseline
+model (flat lambda = psi = 1, phi = 0.5, T = t = 0.4, urns 1-4) at
+N = 64 and 1024.  Sweep mode times the same steps with one block
 and with blocks of each given size, to place the crossover of the block
 rule; it needs a tree that has ``gillespie.block_size``.  Streams mode
 times ``replica_words`` through each of its two evaluators, numpy's Philox
@@ -56,6 +60,14 @@ def flat(n: int, t: float = 1.0):
 
     return ModelSpec(lam=Kernel.constant(2.0), psi=ScalarField.constant(1.0),
                      phi=ScalarField.constant(0.1), N=n, T=t)
+
+
+def coupling(n: int):
+    from urnsir.fields import Kernel, ScalarField
+    from urnsir.model import ModelSpec
+
+    return ModelSpec(lam=Kernel.constant(1.0), psi=ScalarField.constant(1.0),
+                     phi=ScalarField.constant(0.5), N=n, T=0.4)
 
 
 def rows(n: int, r: int, seed: int = 0):
@@ -103,7 +115,8 @@ def us_per_step(n: int, r: int) -> dict:
 
 def single_trajectory(n: int, seeds=(1, 2, 3), make=model) -> dict:
     """Median over seeds of process time per event of ``simulate`` to T = 2,
-    on the model that ``make`` builds (the table model by default).
+    on the model that ``make`` builds (the table model by default); each
+    seed's time is the median of REPEATS runs after one untimed run.
 
     Seeds whose trajectory has no event (none infected at N = 4) are run
     but left out of the median.
@@ -113,14 +126,52 @@ def single_trajectory(n: int, seeds=(1, 2, 3), make=model) -> dict:
     spec = make(n, t=2.0)
     per_event, events = [], []
     for seed in seeds:
-        t0 = time.process_time()
-        traj = simulate(spec, seed)
-        took = time.process_time() - t0
+        took = []
+        for rep in range(-1, REPEATS):
+            t0 = time.process_time()
+            traj = simulate(spec, seed)
+            if rep >= 0:
+                took.append(time.process_time() - t0)
         if traj.events.size:
-            per_event.append(took / traj.events.size * 1e6)
+            per_event.append(statistics.median(took) / traj.events.size
+                             * 1e6)
         events.append(int(traj.events.size))
     return {"model": make.__name__, "N": n, "seeds": list(seeds),
             "events": events, "us_per_event": statistics.median(per_event)}
+
+
+def per_call(name: str, n: int, call, count: int) -> dict:
+    """Median over REPEATS repeats, after one untimed repeat, of process
+    time per call of ``call(i)`` for i = 0 .. count - 1."""
+    times = []
+    for rep in range(-1, REPEATS):
+        t0 = time.process_time()
+        for i in range(count):
+            call(i)
+        if rep >= 0:
+            times.append(time.process_time() - t0)
+    return {"call": name, "N": n, "calls": count,
+            "us_per_call": statistics.median(times) / count * 1e6}
+
+
+def single_draws() -> list[dict]:
+    """us per call of the single-replica draws: ``sample_initial`` on the
+    table model, and ``coupled_quadruple`` on a fresh clock table per call
+    (seed i), so that every touched row is drawn."""
+    from urnsir.graphical import ClockTable, coupled_quadruple
+    from urnsir.model import sample_initial
+
+    spec = model(4)
+    out = [per_call("sample_initial", 4,
+                    lambda i: sample_initial(spec, 1, i), 2000)]
+    for n in (64, 1024):
+        spec = coupling(n)
+        out.append(per_call(
+            "coupled_quadruple", n,
+            lambda i, spec=spec: coupled_quadruple(ClockTable(spec, i),
+                                                   (1, 2, 3, 4), 0.4),
+            200))
+    return out
 
 
 def stream_paths(counts, lengths) -> list[dict]:
@@ -211,6 +262,9 @@ def main() -> int:
                         (500, flat)):
             result["single"].append(single_trajectory(n, make=make))
             print(json.dumps(result["single"][-1]), flush=True)
+        result["calls"] = single_draws()
+        for row in result["calls"]:
+            print(json.dumps(row), flush=True)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
     return 0

@@ -19,7 +19,8 @@ Every kernel is exactly finite rank, lambda(u, v) = sum_a left_a(u) right_a(v),
 and is evaluated only through these factors: a constant is (lam0, 1) and a
 separable kernel (h1(u), h2(v)), both of rank 1; an M x M table G is
 (hat(u) @ G, hat(v)) over the M hat functions of its grid, of rank M.  The
-site matrix, the node sums and the event engine's pressure all use them.
+site matrix, the node sums, the event engine's pressure and the clock
+tables' pair-clock rates all use them.
 """
 
 from __future__ import annotations

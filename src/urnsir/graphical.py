@@ -33,10 +33,11 @@ indicator.
 The table of replica r of a seed draws from the streams keyed (seed, r)
 (see :mod:`urnsir.streams`): recovery clocks and initial states of bank b
 from index (b,), the pair clocks targeting urn i from index (b, i - 1).
-Tables are lazy: each row (all clocks targeting one urn) materializes on
-first access from its own stream, so building a table is O(1), only rows
-that searches actually touch are ever sampled, and eager or lazy access
-orders, or drawing many tables at once, give identical values.
+One function reads each kind of value for any list of replicas, and a
+table's lazy rows are its batches of one: each row (all clocks targeting
+one urn) materializes on first access, so building a table is O(1), only
+rows that searches touch are sampled, and eager or lazy access orders, or
+drawing many tables at once, give identical values.
 """
 
 from __future__ import annotations
@@ -52,17 +53,18 @@ from .model import (
     SUSCEPTIBLE,
     Configuration,
     ModelSpec,
+    _initial_states,
     initial_states,
 )
 from .streams import (
-    DOMAIN_INITIAL,
     DOMAIN_PAIR_CLOCKS,
     DOMAIN_RECOVERY_CLOCKS,
     check_replicas,
-    derive_rng,
     exponentials,
     replica_words,
 )
+# derive_rng is not called here; the benchmark's traced run wraps this name
+from .streams import derive_rng  # noqa: F401
 
 __all__ = [
     "ClockTable",
@@ -83,11 +85,25 @@ def _clocks(words: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_rates(spec: ModelSpec, target_idx: int) -> np.ndarray:
-    """lambda(target, j) / N over sources j: rates of one pair-clock row."""
+def _recovery_clocks(spec: ModelSpec, seed: int, replicas,
+                     bank: int) -> np.ndarray:
+    """(len(replicas), N) recovery clocks K_i of one bank."""
+    words = replica_words(seed, replicas, spec.N, DOMAIN_RECOVERY_CLOCKS, bank)
+    return _clocks(words, spec.psi_at_sites())
+
+
+def _pair_clocks(spec: ModelSpec, seed: int, replicas, bank: int,
+                 target_idx: int) -> np.ndarray:
+    """(len(replicas), N) pair clocks U_(target, j) of one bank over sources
+    j, at rates lambda(target, j) / N from the kernel's factors; the
+    diagonal is infinite."""
     n = spec.N
-    s = spec.sites()
-    return np.asarray(spec.lam(np.full(n, s[target_idx]), s)) / n
+    left, right = spec.lam.factors(n)
+    words = replica_words(seed, replicas, n, DOMAIN_PAIR_CLOCKS, bank,
+                          target_idx)
+    row = _clocks(words, (left[target_idx] * right).sum(-1) / n)
+    row[:, target_idx] = np.inf
+    return row
 
 
 @dataclass
@@ -97,9 +113,7 @@ class ClockTable:
     The table of replica ``replica`` of ``seed`` draws from the streams
     keyed (seed, replica).  Bank 1 is the primary draw; banks 2..4 are
     independent copies used by the coupling construction.  Bank 1 of the
-    initial states follows the same stream rule as
-    :func:`urnsir.model.sample_initial`, so the two agree for equal
-    (seed, replica).
+    initial states is the draw of :func:`urnsir.model.sample_initial`.
     """
 
     spec: ModelSpec
@@ -114,28 +128,24 @@ class ClockTable:
             raise ValueError(f"bank must be one of {BANKS}")
         return int(bank)
 
+    def _draw(self, draw, *args) -> np.ndarray:
+        """This replica's read-only row of a batch draw, its batch of one."""
+        row = draw(self.spec, self.seed, [self.replica], *args)[0]
+        row.setflags(write=False)
+        return row
+
     def recovery_clocks(self, bank: int = 1) -> np.ndarray:
         """K_i for i = 1..N (position i-1); infinite where psi vanishes."""
         bank = self._check_bank(bank)
         if bank not in self._recovery:
-            rng = derive_rng(self.seed, DOMAIN_RECOVERY_CLOCKS, bank,
-                             replica=self.replica)
-            clocks = _clocks(rng.bit_generator.random_raw(self.spec.N),
-                             self.spec.psi_at_sites())
-            clocks.setflags(write=False)
-            self._recovery[bank] = clocks
+            self._recovery[bank] = self._draw(_recovery_clocks, bank)
         return self._recovery[bank]
 
     def initial_states(self, bank: int = 1) -> np.ndarray:
         """0/1 initial states drawn from the phi profile for this bank."""
         bank = self._check_bank(bank)
         if bank not in self._initial:
-            rng = derive_rng(self.seed, DOMAIN_INITIAL, bank,
-                             replica=self.replica)
-            states = (rng.random(self.spec.N) < self.spec.phi_at_sites())
-            states = states.astype(np.int8)
-            states.setflags(write=False)
-            self._initial[bank] = states
+            self._initial[bank] = self._draw(_initial_states, bank)
         return self._initial[bank]
 
     def pair_clocks(self, target: int, bank: int = 1) -> np.ndarray:
@@ -148,13 +158,7 @@ class ClockTable:
         key = (bank, target_idx)
         row = self._rows.get(key)
         if row is None:
-            rng = derive_rng(self.seed, DOMAIN_PAIR_CLOCKS, bank, target_idx,
-                             replica=self.replica)
-            row = _clocks(rng.bit_generator.random_raw(self.spec.N),
-                          _pair_rates(self.spec, target_idx))
-            row[target_idx] = np.inf
-            row.setflags(write=False)
-            self._rows[key] = row
+            row = self._rows[key] = self._draw(_pair_clocks, bank, target_idx)
         return row
 
 
@@ -244,16 +248,11 @@ def clock_states(spec: ModelSpec, seed: int, replicas, t: float) -> np.ndarray:
     n = spec.N
     replicas = check_replicas(replicas)
     init = initial_states(spec, seed, replicas)
-    k_vec = _clocks(
-        replica_words(seed, replicas, n, DOMAIN_RECOVERY_CLOCKS, 1),
-        spec.psi_at_sites(),
-    )
+    k_vec = _recovery_clocks(spec, seed, replicas, 1)
     # cost[q, v, w] = U_(v, w) where the link w -> v is admissible
     cost = np.empty((replicas.size, n, n))
     for v in range(n):
-        row = _clocks(replica_words(seed, replicas, n, DOMAIN_PAIR_CLOCKS, 1, v),
-                      _pair_rates(spec, v))
-        row[:, v] = np.inf
+        row = _pair_clocks(spec, seed, replicas, 1, v)
         cost[:, v] = np.where(row < k_vec, row, np.inf)
     c = np.where(init == 1, 0.0, np.inf)
     for _ in range(n - 1):

@@ -4,7 +4,9 @@ Urn ``i`` (1-based, as in every external format) sits at site u = i/N and is
 stored at array position i-1.  States are encoded -1 = removed, 0 =
 susceptible, 1 = infected; an infected urn recovers at rate psi(i/N) and a
 susceptible urn is infected at rate (1/N) sum_j lambda(i/N, j/N) over
-currently infected j.
+currently infected j.  One function reads the initial states of one bank
+for any list of replicas; :func:`initial_states` and the clock tables'
+banks read it, and :func:`sample_initial` is its batch of one.
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Kernel, ScalarField, sites
-from .streams import (
-    DOMAIN_INITIAL,
-    check_replicas,
-    derive_rng,
-    replica_words,
-    uniforms,
-)
+from .streams import DOMAIN_INITIAL, check_replicas, replica_words, uniforms
+# derive_rng is not called here; the benchmark's traced run wraps this name
+from .streams import derive_rng  # noqa: F401
 
 __all__ = [
     "ModelSpec",
@@ -103,13 +101,10 @@ def sample_initial(spec: ModelSpec, seed: int,
                    replica: int = 0) -> Configuration:
     """Independent initial states: urn i infected with probability phi(i/N).
 
-    Deterministic in (seed, replica); uses the (initial-domain, bank 1)
-    stream, which is also bank 1 of the clock-table initial banks.
+    Deterministic in (seed, replica): the batch of one of
+    :func:`initial_states`.
     """
-    rng = derive_rng(seed, DOMAIN_INITIAL, 1, replica=replica)
-    u = rng.random(spec.N)
-    states = (u < spec.phi_at_sites()).astype(np.int8)
-    return Configuration(states=states, time=0.0)
+    return Configuration(states=_initial_states(spec, seed, [replica])[0])
 
 
 def initial_states(spec: ModelSpec, seed: int, replicas) -> np.ndarray:
@@ -120,11 +115,16 @@ def initial_states(spec: ModelSpec, seed: int, replicas) -> np.ndarray:
     words and uniforms exist for one chunk of rows, not for the batch.
     """
     replicas = check_replicas(replicas)
-    phi = spec.phi_at_sites()
     out = np.empty((replicas.size, spec.N), dtype=np.int8)
     step = max(1, _DRAW_CELLS // spec.N)
     for lo in range(0, replicas.size, step):
-        words = replica_words(seed, replicas[lo:lo + step], spec.N,
-                              DOMAIN_INITIAL, 1)
-        np.less(uniforms(words), phi, out=out[lo:lo + step])
+        out[lo:lo + step] = _initial_states(spec, seed, replicas[lo:lo + step])
     return out
+
+
+def _initial_states(spec: ModelSpec, seed: int, replicas,
+                    bank: int = 1) -> np.ndarray:
+    """(len(replicas), N) 0/1 int8 initial states of one bank: urn i is
+    infected where the uniform of its word is below phi(i/N)."""
+    words = replica_words(seed, replicas, spec.N, DOMAIN_INITIAL, bank)
+    return (uniforms(words) < spec.phi_at_sites()).view(np.int8)

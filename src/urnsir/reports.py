@@ -309,6 +309,8 @@ def covariance_anchor_report(
     if replicas < 2:
         raise ValueError("replicas must be at least 2")
     n = model.N
+    if n < 2:  # a pair covariance needs two urns
+        raise ValueError("the anchor's N must be at least 2")
     gen = build_generator(model)
     dist = transient_distribution(gen, initial_distribution(model), t)
     ens = EnsembleSpec(

@@ -21,12 +21,13 @@ each block, so :func:`derive_rng` starts it at counter (0, domain, i, j).
 :func:`philox` evaluates the block function in numpy for many keys and
 counters at once; it works through at most ``CHUNK`` counters at a time,
 which bounds its temporaries.  :func:`replica_words`, the one stream of
-many replicas or of one, takes numpy's Philox, built at the first
-replica's key and re-keyed for each further one, when the streams are
-long (``NATIVE_BLOCKS`` blocks or more) or few (at most
-``NATIVE_STREAMS``), and the vectorised evaluator for many short streams,
-where numpy's fixed cost per stream outweighs the vectorised cost per
-block (``scripts/engine_bench.py --streams`` places the crossover).
+many replicas or of one, reads every value but the report sampling's
+(:func:`derive_rng`).  It takes numpy's Philox, one generator per thread
+re-keyed for each replica, when the streams are long (``NATIVE_BLOCKS``
+blocks or more) or few (at most ``NATIVE_STREAMS``), and the vectorised
+evaluator for many short streams, where numpy's fixed cost per stream
+outweighs the vectorised cost per block (``scripts/engine_bench.py
+--streams`` places the crossover).
 
 Words become numbers one way: :func:`uniforms` is (w >> 11) 2^-53 on
 [0, 1), what ``Generator.random`` returns from the same words, and
@@ -36,6 +37,8 @@ strictly positive.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -68,6 +71,10 @@ CHUNK = 1 << 14  # counters per vectorised block evaluation
 # BENCH_23.json), the vectorised evaluator otherwise
 NATIVE_BLOCKS = 20
 NATIVE_STREAMS = 64
+
+# each thread's numpy Philox that _native_words re-keys for every stream,
+# built at first use: np.random loads modules that importing need not
+_NATIVE = threading.local()
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -214,7 +221,7 @@ def replica_words(seed: int, replicas, n_words: int, domain: int,
         raise ValueError("n_words must be >= 0")
     if first_block < 1:
         raise ValueError("first_block must be >= 1")
-    replicas = np.asarray(replicas, dtype=np.uint64).reshape(-1)
+    replicas = check_replicas(replicas)
     seed = _check_component(seed)
     ctr = np.array(_counter(domain, index), dtype=np.uint64)
     n_blocks = -(-n_words // 4)
@@ -227,30 +234,31 @@ def replica_words(seed: int, replicas, n_words: int, domain: int,
 
 def _native_words(seed: int, replicas: np.ndarray, n_words: int,
                   ctr: np.ndarray, first_block: int) -> np.ndarray:
-    """:func:`replica_words` from one numpy Philox, re-keyed per replica.
+    """:func:`replica_words` from numpy's Philox, re-keyed per replica.
 
-    The Philox starts at the first row's key (seed, replica) and the
-    counter first_block - 1; each later row sets its key and that counter
-    through the ``state`` setter, with the word buffer empty.  Every row
-    reads ``n_words`` words.
+    One Philox per thread serves every call: for each row the ``state``
+    setter gives it the key (seed, replica) and the counter
+    first_block - 1, with the word buffer empty, and the row reads
+    ``n_words`` words.  A new Philox would cost more than the re-key: its
+    constructor gathers OS entropy that the key then discards.
     """
-    key = np.array([seed, replicas[0]], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
     ctr = ctr.copy()
     ctr[0] = first_block - 1
-    bits = np.random.Philox(key=key, counter=ctr)
+    # the state of a fresh generator at each key: buffer_pos 4 marks the
+    # word buffer empty, so the next word starts block first_block
+    state = {"bit_generator": "Philox",
+             "state": {"counter": ctr, "key": key},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
     out = np.empty((replicas.size, n_words), dtype=np.uint64)
-    out[0] = bits.random_raw(n_words)
-    if replicas.size > 1:
-        # the state of a fresh generator at each key: buffer_pos 4 marks
-        # the word buffer empty, so the next word starts block first_block
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": ctr, "key": key},
-                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        for q, replica in enumerate(replicas[1:].tolist(), 1):
-            key[1] = replica
-            bits.state = state
-            out[q] = bits.random_raw(n_words)
+    bits = getattr(_NATIVE, "philox", None)
+    if bits is None:
+        bits = _NATIVE.philox = np.random.Philox(0)
+    for q, replica in enumerate(replicas.tolist()):
+        key[1] = replica
+        bits.state = state
+        out[q] = bits.random_raw(n_words)
     return out
 
 

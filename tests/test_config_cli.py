@@ -513,6 +513,8 @@ class TestCli:
          "ns must hold"),
         ("validate cov", "[validate]\ncov_ns = 10", "ns must hold"),
         ("validate cov", "[validate]\ncov_ns =", "ns must hold"),
+        ("validate cov", "[validate]\ncov_anchor_n = 1\ncov_ns = 3, 4\n"
+         "cov_replicas = 20", "anchor's N must be"),
         ("validate oracle", "[validate]\noracle_times =", "times must hold"),
         ("validate lln", "[validate]\nlln_replicas = 10, 20",
          "lln_replicas: expected one number"),

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from urnsir import graphical, model
 from urnsir.fields import Kernel, ScalarField
 from urnsir.graphical import (
     BANKS,
     ClockTable,
     _paths,
+    clock_states,
     coupled_quadruple,
     state_from_clocks,
 )
@@ -88,6 +90,14 @@ class TestClockTable:
         np.testing.assert_array_equal(
             tab.initial_states(1), sample_initial(spec, 77).states
         )
+
+    def test_non_integer_replica_rejected(self):
+        # checked as a stream key component when a draw first reads it
+        tab = ClockTable(spec=flat_spec(3), seed=0, replica=0.5)
+        for draw in (tab.recovery_clocks, tab.initial_states,
+                     lambda: tab.pair_clocks(1)):
+            with pytest.raises(TypeError, match="stream key components"):
+                draw()
 
     def test_banks_are_separate_streams(self):
         tab = ClockTable(spec=flat_spec(10), seed=3)
@@ -363,3 +373,102 @@ class TestFrozenConstruction:
         assert 0.8 < omega.mean() < 1.0
         assert set(records[:, [0, 1, 2, 3, 5, 6, 7, 8]].ravel()) == {-1, 0, 1}
         assert digest.hexdigest() == self.DIGEST_OMEGA
+
+
+def draw_specs():
+    """Models whose draws the digests below pin: a 3x3, a 16x16 table (with
+    zero rates and a zero recovery rate), a separable and a constant
+    kernel."""
+    table16 = [[(3 * a + 5 * b) % 7 * 0.5 for b in range(16)]
+               for a in range(16)]
+    return {
+        "table3": table_spec16(),
+        "table16": ModelSpec(
+            lam=Kernel.table(table16), psi=ScalarField.table([0.0, 1.0, 1.5]),
+            phi=ScalarField.affine(0.2, 0.5), N=12, T=0.8),
+        "separable": ModelSpec(
+            lam=Kernel.separable(ScalarField.affine(0.8, 0.6),
+                                 ScalarField.table([0.0, 1.2, 0.4])),
+            psi=ScalarField.constant(1.0), phi=ScalarField.constant(0.4),
+            N=9, T=1.5),
+        "constant": flat_spec(7),
+    }
+
+
+def draws_blob(spec, seed, replica):
+    """Every draw of one replica, and the states built from them."""
+    n, t = spec.N, 0.7 * spec.T
+    tab = ClockTable(spec, seed, replica)
+    parts = [sample_initial(spec, seed, replica).states]
+    for bank in BANKS:
+        parts += [tab.recovery_clocks(bank), tab.initial_states(bank)]
+        parts += [tab.pair_clocks(m, bank) for m in range(1, n + 1)]
+    init = tab.initial_states(1)
+    parts.append(np.array([state_from_clocks(tab, init, m, t)
+                           for m in range(1, n + 1)]))
+    quad = coupled_quadruple(ClockTable(spec, seed, replica),
+                             (n, 1, 2, n // 2 + 1), t)
+    parts.append(np.array([*quad.states, quad.omega_ok]))
+    parts.append(clock_states(spec, seed, [replica, 0, 2**64 - 1], t))
+    return b"".join(part.tobytes() for part in parts)
+
+
+class TestDrawsWithoutDeriveRng:
+    # sha256 prefixes of draws_blob for replica 5 of seed 2^40 + 3, frozen
+    # when sample_initial and the clock tables read derive_rng generators:
+    # now every draw reads its words through replica_words
+    DIGESTS = {
+        "table3": "10991ae91e1f36dc",
+        "table16": "3ad8496cdbe4b0e8",
+        "separable": "ae2e1c899380d8ea",
+        "constant": "66acd0f9838e19f8",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("draws have no generator of their own")
+
+        monkeypatch.setattr(graphical, "derive_rng", refuse)
+        monkeypatch.setattr(model, "derive_rng", refuse)
+        blob = draws_blob(draw_specs()[name], 2**40 + 3, 5)
+        assert hashlib.sha256(blob).hexdigest()[:16] == self.DIGESTS[name]
+
+    def test_digests_see_infinite_clocks_and_every_state(self):
+        spec = draw_specs()["table16"]
+        tab = ClockTable(spec, 2**40 + 3, 5)
+        assert np.isinf(tab.recovery_clocks(1)).any()
+        assert np.isinf(tab.pair_clocks(1, 1)[:-1]).any()
+        states = clock_states(spec, 2**40 + 3, range(40), 0.7 * spec.T)
+        assert set(states.ravel()) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel.table([[1.0, 2.5, 0.5], [3.0, 0.5, 1.5], [2.0, 1.0, 4.0]]),
+    Kernel.table([[(a * 7 + b * 3) % 5 * 0.7 for b in range(5)]
+                  for a in range(5)]),
+    Kernel.table([[(a * 5 + b * 3) % 7 * 0.5 + 0.1 for b in range(16)]
+                  for a in range(16)]),
+    Kernel.separable(ScalarField.affine(0.8, 0.6),
+                     ScalarField.table([0.3, 1.2, 0.4])),
+    Kernel.constant(1.5),
+], ids=["table3", "table5", "table16", "separable", "constant"])
+def test_pair_rates_are_the_kernel_values(kernel, monkeypatch):
+    # a row's rates come from the kernel's factors; they equal
+    # lambda(target, j) / N from Kernel.__call__ bit for bit
+    seen = []
+
+    def spy(words, rates):
+        seen.append(rates)
+        return np.zeros(words.shape)
+
+    monkeypatch.setattr(graphical, "_clocks", spy)
+    for n in (3, 4, 7, 16, 100, 1000):
+        spec = ModelSpec(lam=kernel, psi=ScalarField.constant(1.0),
+                         phi=ScalarField.constant(0.5), N=n, T=1.0)
+        s = spec.sites()
+        for v in range(n):
+            seen.clear()
+            graphical._pair_clocks(spec, 0, [0], 1, v)
+            expected = kernel(np.full(n, s[v]), s) / n
+            assert seen[0].tobytes() == expected.tobytes()

@@ -77,3 +77,17 @@ def test_checker_finds_unused_and_allows_the_exceptions():
 def test_every_import_is_used(path):
     wrapped = WRAPPED.get(f"urnsir.{path.stem}", set())
     assert unused_imports(path.read_text(), wrapped) == []
+
+
+def test_derive_rng_is_called_only_by_reports():
+    # every other draw reads its words through streams.replica_words; the
+    # report sampling's Generator.integers draws are not rebuilt from words
+    def calls(path):
+        return any(isinstance(node, ast.Call)
+                   and getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                   == "derive_rng"
+                   for node in ast.walk(ast.parse(path.read_text())))
+
+    assert [p.name for p in sorted(SRC.glob("*.py")) if calls(p)] == [
+        "reports.py"]

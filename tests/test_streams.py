@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -280,6 +283,41 @@ class TestReplicaWordPaths:
             replica_words(1, [0], -1, DOMAIN_SIMULATION)
         with pytest.raises(ValueError):
             replica_words(1, [0], 4, DOMAIN_SIMULATION, first_block=0)
+
+    def test_threads_read_their_own_words(self):
+        # numpy's Philox is re-keyed per stream, one generator per thread:
+        # four threads switching often still read their own streams' words
+        def read(r):
+            return [replica_words(3, [r, r + 8], 40, DOMAIN_SIMULATION)
+                    for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(read, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for r, rows in enumerate(results):
+            want = [numpy_words(3, q, 40, DOMAIN_SIMULATION)
+                    for q in (r, r + 8)]
+            for row in rows:
+                np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("replicas, error", [
+        ([0.5], TypeError),
+        ([True], TypeError),
+        (np.array([0.5]), TypeError),
+        ([-1], ValueError),
+        (np.array([3, -1]), ValueError),
+        ([2**64], ValueError),
+    ], ids=["float", "bool", "float-array", "negative", "negative-array",
+            "too-large"])
+    def test_bad_replicas_rejected(self, replicas, error):
+        # checked as derive_rng checks one replica, not cast by numpy
+        # (0.5 would read replica 0's words, True replica 1's)
+        with pytest.raises(error, match="stream key components"):
+            replica_words(1, replicas, 4, DOMAIN_SIMULATION)
 
 
 class TestTransforms:
